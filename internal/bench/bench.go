@@ -330,8 +330,8 @@ func Run(spec Spec) (stats.Metrics, error) {
 	return m, err
 }
 
-// RunWithBanks is Run plus the per-bank busy-cycle breakdown — the
-// direct view of the Figure 8 story: under WT+SingleBank the counter
+// RunWithBanks is Run plus the measured region's per-bank busy-cycle
+// breakdown — the direct view of the Figure 8 story: under WT+SingleBank the counter
 // bank's busy share dwarfs every data bank's.
 func RunWithBanks(spec Spec) (stats.Metrics, []nvm.BankStats, error) {
 	cfg := spec.config()

@@ -29,19 +29,21 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-type way struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
-}
-
 // Cache is a set-associative LRU cache keyed by line address.
+//
+// Way state is split over two parallel arrays indexed by
+// set*ways+way. tags holds tag<<1|valid, so a lookup compares one word
+// per way and an 8-way set's probe touches a single 64-byte host line.
+// meta holds the LRU timestamp and the dirty bit as used<<1|dirty; it is
+// read only on a hit or a fill.
 type Cache struct {
 	name     string
-	sets     [][]way
+	tags     []uint64
+	meta     []uint64
+	ways     int
 	setMask  uint64
 	setShift uint
+	setBits  uint
 	tick     uint64
 	stats    Stats
 	// observer, if set, sees every Access outcome. The cache has no
@@ -56,16 +58,14 @@ func New(name string, cfg config.CacheConfig) *Cache {
 		panic(err)
 	}
 	nsets := cfg.Sets()
-	sets := make([][]way, nsets)
-	backing := make([]way, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
 	return &Cache{
 		name:     name,
-		sets:     sets,
+		tags:     make([]uint64, nsets*cfg.Ways),
+		meta:     make([]uint64, nsets*cfg.Ways),
+		ways:     cfg.Ways,
 		setMask:  uint64(nsets - 1),
 		setShift: uint(bits.TrailingZeros(config.LineSize)),
+		setBits:  uint(bits.TrailingZeros(uint(nsets))),
 	}
 }
 
@@ -79,33 +79,61 @@ func (c *Cache) SetObserver(fn func(hit bool)) { c.observer = fn }
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// CopyFrom makes c's contents, LRU state and statistics a copy of o's.
+// Both caches must have the same geometry.
+func (c *Cache) CopyFrom(o *Cache) {
+	if len(c.tags) != len(o.tags) || c.ways != o.ways {
+		panic(fmt.Sprintf("cache: copy %s into %s: geometries differ", o.name, c.name))
+	}
+	copy(c.tags, o.tags)
+	copy(c.meta, o.meta)
+	c.tick = o.tick
+	c.stats = o.stats
+}
+
 // ResetStats zeroes the statistics without touching contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
+// index returns the first way slot of addr's set and addr's tag.
+func (c *Cache) index(addr uint64) (base int, tag uint64) {
 	line := addr >> c.setShift
-	return line & c.setMask, line >> uint(bits.TrailingZeros64(c.setMask+1))
+	return int(line&c.setMask) * c.ways, line >> c.setBits
 }
 
-func (c *Cache) find(addr uint64) *way {
-	set, tag := c.index(addr)
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			return &ws[i]
+// find returns the way slot holding addr's line, or -1.
+func (c *Cache) find(addr uint64) int {
+	base, tag := c.index(addr)
+	key := tag<<1 | 1
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == key {
+			return base + i
 		}
 	}
-	return nil
+	return -1
+}
+
+// touch makes slot i the most recently used, keeping its dirty bit and
+// setting it if dirty is true.
+func (c *Cache) touch(i int, dirty bool) {
+	c.tick++
+	c.meta[i] = c.tick<<1 | c.meta[i]&1 | b2u(dirty)
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Contains reports whether the line holding addr is present. It does not
 // update LRU state or statistics.
-func (c *Cache) Contains(addr uint64) bool { return c.find(addr) != nil }
+func (c *Cache) Contains(addr uint64) bool { return c.find(addr) >= 0 }
 
 // Dirty reports whether the line holding addr is present and dirty.
 func (c *Cache) Dirty(addr uint64) bool {
-	w := c.find(addr)
-	return w != nil && w.dirty
+	i := c.find(addr)
+	return i >= 0 && c.meta[i]&1 != 0
 }
 
 // Access looks up the line holding addr, updating LRU state and hit/miss
@@ -113,8 +141,8 @@ func (c *Cache) Dirty(addr uint64) bool {
 // whether the access hit. A miss does NOT fill the cache; callers decide
 // whether and how to fill (see Fill).
 func (c *Cache) Access(addr uint64, write bool) bool {
-	w := c.find(addr)
-	if w == nil {
+	i := c.find(addr)
+	if i < 0 {
 		c.stats.Misses++
 		if c.observer != nil {
 			c.observer(false)
@@ -122,11 +150,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 		return false
 	}
 	c.stats.Hits++
-	c.tick++
-	w.used = c.tick
-	if write {
-		w.dirty = true
-	}
+	c.touch(i, write)
 	if c.observer != nil {
 		c.observer(true)
 	}
@@ -143,65 +167,70 @@ type Victim struct {
 // If the set is full the LRU way is displaced and returned. Filling a
 // line that is already present just updates its dirty bit and LRU state.
 func (c *Cache) Fill(addr uint64, dirty bool) (v Victim, evicted bool) {
-	if w := c.find(addr); w != nil {
-		c.tick++
-		w.used = c.tick
-		if dirty {
-			w.dirty = true
+	base, tag := c.index(addr)
+	key := tag<<1 | 1
+	// One pass finds a hit, the first invalid way, or the LRU way.
+	// Valid ways carry distinct timestamps, so comparing the packed
+	// used<<1|dirty words orders them by timestamp alone.
+	tags := c.tags[base : base+c.ways]
+	meta := c.meta[base : base+len(tags)]
+	victim, free := 0, -1
+	for i, t := range tags {
+		switch {
+		case t == key:
+			c.touch(base+i, dirty)
+			return Victim{}, false
+		case t&1 == 0:
+			if free < 0 {
+				free = i
+			}
+		case meta[i] < meta[victim]:
+			victim = i
 		}
-		return Victim{}, false
 	}
-	set, tag := c.index(addr)
-	ws := c.sets[set]
-	victim := &ws[0]
-	for i := range ws {
-		if !ws[i].valid {
-			victim = &ws[i]
-			break
-		}
-		if ws[i].used < victim.used {
-			victim = &ws[i]
-		}
-	}
-	if victim.valid {
+	if free >= 0 {
+		victim = free
+	} else {
 		evicted = true
-		v = Victim{Addr: c.addrOf(set, victim.tag), Dirty: victim.dirty}
+		v = Victim{Addr: c.addrOf(base+victim, tags[victim]>>1), Dirty: meta[victim]&1 != 0}
 		c.stats.Evictions++
-		if victim.dirty {
+		if v.Dirty {
 			c.stats.Writebacks++
 		}
 	}
 	c.tick++
-	*victim = way{tag: tag, valid: true, dirty: dirty, used: c.tick}
+	tags[victim] = key
+	meta[victim] = c.tick<<1 | b2u(dirty)
 	return v, evicted
 }
 
-func (c *Cache) addrOf(set, tag uint64) uint64 {
-	setBits := uint(bits.TrailingZeros64(c.setMask + 1))
-	return ((tag << setBits) | set) << c.setShift
+// addrOf rebuilds the line address of a tag held in way slot i.
+func (c *Cache) addrOf(i int, tag uint64) uint64 {
+	set := uint64(i / c.ways)
+	return ((tag << c.setBits) | set) << c.setShift
 }
 
 // Clean clears the dirty bit of the line holding addr, if present. It
 // reports whether the line was present and dirty (i.e. whether the caller
 // now owns a writeback).
 func (c *Cache) Clean(addr uint64) bool {
-	w := c.find(addr)
-	if w == nil || !w.dirty {
+	i := c.find(addr)
+	if i < 0 || c.meta[i]&1 == 0 {
 		return false
 	}
-	w.dirty = false
+	c.meta[i] &^= 1
 	return true
 }
 
 // Invalidate removes the line holding addr, returning whether it was
 // present and whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	w := c.find(addr)
-	if w == nil {
+	i := c.find(addr)
+	if i < 0 {
 		return false, false
 	}
-	present, dirty = true, w.dirty
-	*w = way{}
+	present, dirty = true, c.meta[i]&1 != 0
+	c.tags[i], c.meta[i] = 0, 0
 	return present, dirty
 }
 
@@ -210,12 +239,9 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 // crash and by write-back flush walks.
 func (c *Cache) DirtyLines() []uint64 {
 	var out []uint64
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			w := &c.sets[set][i]
-			if w.valid && w.dirty {
-				out = append(out, c.addrOf(uint64(set), w.tag))
-			}
+	for i, t := range c.tags {
+		if t&1 != 0 && c.meta[i]&1 != 0 {
+			out = append(out, c.addrOf(i, t>>1))
 		}
 	}
 	return out
@@ -224,17 +250,13 @@ func (c *Cache) DirtyLines() []uint64 {
 // Len returns the number of valid lines.
 func (c *Cache) Len() int {
 	n := 0
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			if c.sets[set][i].valid {
-				n++
-			}
-		}
+	for _, t := range c.tags {
+		n += int(t & 1)
 	}
 	return n
 }
 
 // String summarises the cache for diagnostics.
 func (c *Cache) String() string {
-	return fmt.Sprintf("%s{sets=%d ways=%d hits=%d misses=%d}", c.name, len(c.sets), len(c.sets[0]), c.stats.Hits, c.stats.Misses)
+	return fmt.Sprintf("%s{sets=%d ways=%d hits=%d misses=%d}", c.name, len(c.tags)/c.ways, c.ways, c.stats.Hits, c.stats.Misses)
 }

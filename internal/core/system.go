@@ -55,6 +55,10 @@ type System struct {
 	rec   *obs.Recorder
 
 	placement config.Placement
+	// encrypted, writeThrough and selectiveAtomicity are the scheme's
+	// registry predicates, read once here because the per-op paths
+	// consult them on every access.
+	encrypted, writeThrough, selectiveAtomicity bool
 	// ctrInterval is the scheme's counter-persist interval: 1 persists
 	// the counter with every write-through data write; > 1 (Osiris's
 	// stop-loss) enqueues the counter only when the line's minor counter
@@ -90,8 +94,16 @@ type System struct {
 	resetsSeen   int
 	snapshot     stats.Metrics
 	ctrSnapshot  cache.Stats
+	bankSnapshot []nvm.BankStats
 	snapshotAt   uint64
 	haveSnapshot bool
+
+	// ffwd is set while fastForward replays the warmup prefix
+	// functionally: the per-op paths then skip every NVM access.
+	// ffOps counts the ops a run replayed that way (0 when it was
+	// simulated in detail throughout).
+	ffwd  bool
+	ffOps int
 
 	// runErr records an internal-invariant failure surfaced by a
 	// component during the event loop (there is no error path out of an
@@ -133,11 +145,25 @@ func NewSystem(cfg config.Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{
+	s := &System{}
+	if err := s.build(cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// build (re)initializes every component of s from a validated
+// configuration, discarding any previous state.
+func (s *System) build(cfg config.Config) error {
+	*s = System{
 		cfg:         cfg,
 		eng:         &sim.Engine{},
 		placement:   cfg.Placement(),
 		ctrInterval: cfg.Scheme.CounterPersistInterval(),
+
+		encrypted:          cfg.Scheme.Encrypted(),
+		writeThrough:       cfg.Scheme.WriteThrough(),
+		selectiveAtomicity: cfg.Scheme.SelectiveAtomicity(),
 	}
 	s.dev = nvm.NewDevice(cfg)
 	s.layout = s.dev.Layout()
@@ -172,7 +198,7 @@ func NewSystem(cfg config.Config) (*System, error) {
 	for i := 0; i < nmc; i++ {
 		mc, err := memctrl.New(s.eng, s.dev, entries, cfg.CWC(), &s.m)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if cfg.ParallelEngine {
 			mc.SetPartitioned(true)
@@ -213,12 +239,12 @@ func NewSystem(cfg config.Config) (*System, error) {
 		}
 		m, err := newModel(s, c, cfg.ModelFor(i))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c.model = m
 		s.cores = append(s.cores, c)
 	}
-	return s, nil
+	return nil
 }
 
 // partitionCtrCache shrinks the shared counter-cache geometry to one
@@ -274,7 +300,14 @@ func (s *System) SetRecorder(r *obs.Recorder) {
 // disables). Call before Run; the memory controller's read-retry and
 // quarantine policy (config.ReadRetryLimit and friends) then reacts to
 // the injected failures and latency spikes.
-func (s *System) SetBankFaults(f *fault.BankFaults) { s.dev.SetFaults(f) }
+func (s *System) SetBankFaults(f *fault.BankFaults) {
+	s.dev.SetFaults(f)
+}
+
+// FastForwardedOps returns how many warmup ops Run replayed
+// functionally instead of simulating them in detail (see
+// fastforward.go); 0 when the whole run was simulated in detail.
+func (s *System) FastForwardedOps() int { return s.ffOps }
 
 // Config returns the system's configuration.
 func (s *System) Config() config.Config { return s.cfg }
@@ -282,10 +315,20 @@ func (s *System) Config() config.Config { return s.cfg }
 // Layout returns the NVM address map.
 func (s *System) Layout() nvm.Layout { return s.layout }
 
-// BankStats returns the per-bank service counts and busy cycles
-// accumulated over the whole run (including warmup) — the direct view
-// of the SingleBank bottleneck and the XBank fix (Figure 8).
-func (s *System) BankStats() []nvm.BankStats { return s.dev.Stats() }
+// BankStats returns the per-bank service counts and busy cycles of the
+// measured region — the direct view of the SingleBank bottleneck and
+// the XBank fix (Figure 8). Like the metrics Run returns, they exclude
+// everything before the point where every core has passed its
+// trace.Reset; a run without Reset markers reports the whole run.
+func (s *System) BankStats() []nvm.BankStats {
+	st := s.dev.Stats()
+	for i, b := range s.bankSnapshot {
+		st[i].Reads -= b.Reads
+		st[i].Writes -= b.Writes
+		st[i].BusyCycles -= b.BusyCycles
+	}
+	return st
+}
 
 // Run executes one op stream per core to completion (including draining
 // the write queue) and returns the merged metrics. It can be called once
@@ -296,6 +339,16 @@ func (s *System) Run(sources []trace.Source) (stats.Metrics, error) {
 	}
 	for i, c := range s.cores {
 		c.src = sources[i]
+	}
+	if m, ok, err := s.runFastForwarded(); ok {
+		return m, err
+	}
+	return s.run()
+}
+
+// run simulates the cores' remaining ops in detail to completion.
+func (s *System) run() (stats.Metrics, error) {
+	for _, c := range s.cores {
 		c.model.start()
 	}
 	s.eng.Run()
@@ -393,6 +446,7 @@ func (s *System) noteReset(now uint64) {
 	if s.resetsSeen == len(s.cores) {
 		s.snapshot = s.m
 		s.ctrSnapshot = s.ctrStats()
+		s.bankSnapshot = s.dev.Stats()
 		s.snapshotAt = now
 		s.haveSnapshot = true
 		// Histograms report measured transactions only, mirroring
@@ -426,9 +480,11 @@ func (s *System) readPath(c *coreState, now, line uint64, fillDirty bool) (lat u
 	// read goes through the model's memReader — a direct controller
 	// read for in-order cores, the MSHR file for OoO cores.
 	reqAt := now + lat
-	dataDone := c.mem.readLine(reqAt, line)
-	readyAt := dataDone
-	if s.cfg.Scheme.Encrypted() {
+	readyAt := reqAt
+	if !s.ffwd {
+		readyAt = c.mem.readLine(reqAt, line)
+	}
+	if s.encrypted {
 		ctrReady := s.counterForRead(c, reqAt, line)
 		if otpReady := ctrReady + s.cfg.AESCycles; otpReady > readyAt {
 			readyAt = otpReady
@@ -500,23 +556,23 @@ func (s *System) persistLatency(c *coreState, t, line uint64) uint64 {
 // configured scheme to the core's group buffer. charge controls whether
 // counter-fetch and AES latency are core-visible.
 func (s *System) securePersist(c *coreState, t, line uint64, charge bool) (lat uint64) {
-	if !s.cfg.Scheme.Encrypted() {
+	if !s.encrypted {
 		c.gb.add1(memctrl.Entry{Addr: line})
 		return 0
 	}
 	// Write-through schemes persist the counter with every data write;
 	// the SCA extension does so only on the flush path (charge=true is
 	// the flush path), leaving eviction counters dirty in the cache.
-	writeThrough := s.cfg.Scheme.WriteThrough() ||
-		(s.cfg.Scheme.SelectiveAtomicity() && charge)
+	writeThrough := s.writeThrough || (s.selectiveAtomicity && charge)
 	ctrAddr := s.layout.CounterLineAddr(line, s.placement)
 
 	// Locate the counter line; fetch it from NVM on a miss.
 	if c.ctrCache.Access(ctrAddr, !writeThrough) {
 		lat = s.cfg.CounterCache.LatencyCycles
 	} else {
-		done := c.mc.ReadLine(t, ctrAddr)
-		lat = done - t
+		if !s.ffwd {
+			lat = c.mc.ReadLine(t, ctrAddr) - t
+		}
 		s.fillCtr(c, ctrAddr, !writeThrough)
 	}
 
@@ -649,9 +705,12 @@ func (s *System) counterForRead(c *coreState, t, line uint64) (readyAt uint64) {
 	if c.ctrCache.Access(ctrAddr, false) {
 		return t + s.cfg.CounterCache.LatencyCycles
 	}
-	done := c.mem.readLine(t, ctrAddr)
+	readyAt = t
+	if !s.ffwd {
+		readyAt = c.mem.readLine(t, ctrAddr)
+	}
 	s.fillCtr(c, ctrAddr, false)
-	return done
+	return readyAt
 }
 
 // fillCtr installs a counter line in the counter cache; a displaced
@@ -674,7 +733,7 @@ func (s *System) reencryptPage(c *coreState, t uint64, page uint64) (lat uint64)
 	readsDone := t
 	for i := uint64(0); i < config.LinesPerPage; i++ {
 		line := base + i*config.LineSize
-		if !c.l1.Contains(line) && !c.l2.Contains(line) && !s.l3.Contains(line) {
+		if !s.ffwd && !c.l1.Contains(line) && !c.l2.Contains(line) && !s.l3.Contains(line) {
 			if done := c.mc.ReadLine(t, line); done > readsDone {
 				readsDone = done
 			}

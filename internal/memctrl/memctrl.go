@@ -235,6 +235,10 @@ func (c *Controller) Len() int { return len(c.queue) }
 // Capacity returns the configured queue capacity.
 func (c *Controller) Capacity() int { return c.capacity }
 
+// HighWatermark returns the occupancy at which the queue starts
+// issuing; below it, entries wait in the queue.
+func (c *Controller) HighWatermark() int { return c.hiWM }
+
 // PendingWaiters returns the number of cores stalled on a full queue.
 func (c *Controller) PendingWaiters() int { return len(c.waiters) }
 

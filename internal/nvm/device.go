@@ -51,6 +51,9 @@ func (d *Device) SetRecorder(r *obs.Recorder) { d.rec = r }
 // cycles, a failing read returns ok=false from ReadLineAt.
 func (d *Device) SetFaults(f *fault.BankFaults) { d.faults = f }
 
+// HasFaults reports whether a bank-fault schedule is attached.
+func (d *Device) HasFaults() bool { return d.faults != nil }
+
 // Layout returns the device's address map.
 func (d *Device) Layout() Layout { return d.layout }
 

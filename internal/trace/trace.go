@@ -104,6 +104,10 @@ func (s *SliceSource) Reset() { s.i = 0 }
 // Len returns the total number of ops.
 func (s *SliceSource) Len() int { return len(s.ops) }
 
+// Remaining returns the ops Next has not yet returned. The slice
+// aliases the source's ops and must not be modified.
+func (s *SliceSource) Remaining() []Op { return s.ops[s.i:] }
+
 // Record drains a source into a slice (for inspection or encoding).
 // A *SliceSource is drained with one exact-size copy instead of
 // growing an output slice op by op.

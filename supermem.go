@@ -184,11 +184,14 @@ func Simulate(spec RunSpec) (Metrics, error) {
 	return m, err
 }
 
-// BankStats reports one NVM bank's activity over a run.
+// BankStats reports one NVM bank's activity over the measured region
+// of a run.
 type BankStats = nvm.BankStats
 
 // SimulateWithBanks is Simulate plus the per-bank busy breakdown, which
-// makes the counter-bank bottleneck of Figure 8 directly visible.
+// makes the counter-bank bottleneck of Figure 8 directly visible. Like
+// the metrics, the bank counts cover only the measured transactions:
+// set-up and warmup traffic is excluded.
 func SimulateWithBanks(spec RunSpec) (Metrics, []BankStats, error) {
 	spec = spec.withDefaults()
 	return bench.RunWithBanks(bench.Spec{
