@@ -83,6 +83,14 @@ func main() {
 		obsWindow = flag.Uint64("obs-window", 0, "observability series window in persist steps (0 = default 4096)")
 	)
 	flag.Parse()
+	// flag.Parse stops at the first non-flag argument, so a stray value
+	// (e.g. "-json out.json": -json takes none) would silently drop every
+	// flag after it.
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "supermem-crash: unexpected argument %q (flags only; -json takes no value)\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	workloads := supermem.Workloads()
 	if *wl != "" {

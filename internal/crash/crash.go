@@ -10,6 +10,7 @@ package crash
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"supermem/internal/alloc"
 	"supermem/internal/fault"
@@ -231,8 +232,9 @@ func RunNested(p Params, crashAt, recoveryCrashAt int) (Result, error) {
 	return res, err
 }
 
-// runAndRecover is the shared engine of Run/RunNested: it also returns
-// the final recovered machine so the fuzzer can diff divergent bytes.
+// runAndRecover is the per-point engine of Run, RunNested and RunFault:
+// one execution to the crash point, then recoverAndCheck. It also
+// returns the final recovered machine (for the fault classification).
 func runAndRecover(p Params, crashAt, recoveryCrashAt int, inj *fault.Injector) (Result, *machine.Machine, error) {
 	p = p.withDefaults()
 	m, w, completed, err := runToCrash(p, crashAt, inj)
@@ -252,18 +254,32 @@ func runAndRecover(p Params, crashAt, recoveryCrashAt int, inj *fault.Injector) 
 		}
 		return Result{}, nil, err
 	}
-	res := Result{CrashStep: crashAt, RecoveryCrashStep: -1, CompletedSteps: completed, Crashed: m.Crashed()}
 	if !m.Crashed() {
 		// The run finished before the injection point; verify in place.
-		res.CompletedSteps = p.Steps
-		res.Consistent = true
+		res := Result{CrashStep: crashAt, RecoveryCrashStep: -1, CompletedSteps: p.Steps, Consistent: true}
 		if err := w.Verify(m); err != nil {
 			res.Consistent = false
 			res.Detail = err.Error()
 		}
 		return res, m, nil
 	}
+	return recoverAndCheck(m, newOracle(p), completed, crashAt, recoveryCrashAt)
+}
 
+// recoverAndCheck is the one post-crash path: it boots the successor of
+// m, finishes any staged recovery, reapplies the redo log, and judges
+// the recovered structure against the oracle. m is either a machine
+// that crashed at persist step crashAt or a live machine paused at that
+// step by its crash-point hook — Recover only reads its receiver, so
+// both yield the successor a crash there leaves. completed is the
+// number of transactions that finished before the crash. A
+// non-negative recoveryCrashAt arms a nested power failure in the
+// recovery path; a second, uninterrupted recovery then runs and
+// consistency is judged on its result. The final recovered machine is
+// returned too: the fuzzer reads the recovery's persist count off it
+// and diffs its bytes.
+func recoverAndCheck(m *machine.Machine, o *oracle, completed, crashAt, recoveryCrashAt int) (Result, *machine.Machine, error) {
+	res := Result{CrashStep: crashAt, RecoveryCrashStep: -1, CompletedSteps: completed, Crashed: true}
 	var r *machine.Machine
 	if recoveryCrashAt >= 0 {
 		r = m.Recover(machine.WithCrashAtPersist(recoveryCrashAt))
@@ -284,25 +300,17 @@ func runAndRecover(p Params, crashAt, recoveryCrashAt int, inj *fault.Injector) 
 	}
 	res.RecoveryProbes = r.OsirisProbes()
 
-	// The recovered structure must equal the replayed state after
-	// either `completed` or `completed+1` transactions.
-	for _, n := range []int{completed, completed + 1} {
-		ok, err := matchesReplay(p, r, n)
-		if err != nil {
-			return Result{}, nil, err
-		}
-		if ok {
-			res.Consistent = true
-			return res, r, nil
-		}
-	}
-	// Capture a diagnostic from the nearer replay.
-	replayW, _, err := replay(p, res.CompletedSteps)
+	ok, err := o.consistent(r, completed)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if verr := replayW.Verify(r); verr != nil {
-		res.Detail = verr.Error()
+	if ok {
+		res.Consistent = true
+		return res, r, nil
+	}
+	// Capture a diagnostic from the nearer replay.
+	if res.Detail, err = o.detail(r, completed); err != nil {
+		return Result{}, nil, err
 	}
 	return res, r, nil
 }
@@ -325,13 +333,67 @@ func replay(p Params, n int) (workload.Workload, *pmem.TracingBackend, error) {
 	return w, b, nil
 }
 
-// matchesReplay checks the recovered machine against the n-step replay.
-func matchesReplay(p Params, r *machine.Machine, n int) (bool, error) {
-	w, _, err := replay(p, n)
-	if err != nil {
-		return false, err
+// oracle is the expected post-crash state: the workload replayed for n
+// steps, memoized per n. Replays run on a TracingBackend, so they do
+// not depend on Params.Mode and one oracle serves every mode of a Fuzz
+// call. It is safe for concurrent use: Workload.Verify only reads the
+// replayed workload.
+type oracle struct {
+	p    Params
+	mu   sync.Mutex
+	memo map[int]*replayed
+}
+
+type replayed struct {
+	once sync.Once
+	w    workload.Workload
+	err  error
+}
+
+func newOracle(p Params) *oracle {
+	return &oracle{p: p, memo: make(map[int]*replayed)}
+}
+
+// after returns the workload replayed for n steps.
+func (o *oracle) after(n int) (workload.Workload, error) {
+	o.mu.Lock()
+	e := o.memo[n]
+	if e == nil {
+		e = &replayed{}
+		o.memo[n] = e
 	}
-	return w.Verify(r) == nil, nil
+	o.mu.Unlock()
+	e.once.Do(func() { e.w, _, e.err = replay(o.p, n) })
+	return e.w, e.err
+}
+
+// consistent reports whether the recovered machine equals the replayed
+// state after either completed or completed+1 transactions
+// (transaction atomicity).
+func (o *oracle) consistent(r *machine.Machine, completed int) (bool, error) {
+	for _, n := range []int{completed, completed + 1} {
+		w, err := o.after(n)
+		if err != nil {
+			return false, err
+		}
+		if w.Verify(r) == nil {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// detail returns the recovered machine's verification error against the
+// n-step replay ("" when it verifies).
+func (o *oracle) detail(r *machine.Machine, n int) (string, error) {
+	w, err := o.after(n)
+	if err != nil {
+		return "", err
+	}
+	if verr := w.Verify(r); verr != nil {
+		return verr.Error(), nil
+	}
+	return "", nil
 }
 
 // SweepResult aggregates a crash-point sweep.
@@ -396,16 +458,27 @@ func Sweep(p Params, stride int) (SweepResult, error) {
 // countPersists runs the workload crash-free and returns the persist
 // steps consumed by its transactions (after setup).
 func countPersists(p Params) (int, error) {
-	total, _, err := persistProfile(p)
+	total, _, err := forkPoints(p, nil, nil)
 	return total, err
 }
 
-// persistProfile runs the workload crash-free and returns the persist
-// steps consumed by its transactions (after setup) plus the persist
-// index at the start of every commit stage — the prepare/mutate/commit
-// windows of Table 1, which the fuzzer's sampler weights toward.
-func persistProfile(p Params) (total int, stageStarts []int, err error) {
-	m, err := machine.New(p.Mode, p.Key)
+// errStopRun, returned by a forkPoints visitor, ends the run early.
+var errStopRun = errors.New("crash: stop run")
+
+// forkPoints runs the workload once, crash-free, and forks the crash
+// points want selects (every point when want is nil): at each, inside
+// the persistence step and before it lands, visit gets the live machine,
+// the point's persist index (counted from the end of setup) and the
+// number of transactions completed so far. recoverAndCheck on that
+// machine yields exactly what a crash armed at the point would, with no
+// re-execution of the prefix. A nil visit makes this a plain profiling
+// run. It returns the persist steps the transactions consumed plus the
+// persist index at the start of every commit stage — the
+// prepare/mutate/commit windows of Table 1, which the fuzzer's sampler
+// weights toward. A visitor error other than errStopRun is returned;
+// errStopRun leaves total short.
+func forkPoints(p Params, want func(k int) bool, visit func(m *machine.Machine, k, completed int) error) (total int, stageStarts []int, err error) {
+	m, err := machine.New(p.Mode, p.Key, machine.WithRecoveryBound(p.RecoveryBound))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -415,10 +488,22 @@ func persistProfile(p Params) (total int, stageStarts []int, err error) {
 	}
 	base := m.Persists()
 	tm.StageHook = func(pmem.Stage) { stageStarts = append(stageStarts, m.Persists()-base) }
-	for i := 0; i < p.Steps; i++ {
+	step := 0
+	var visitErr error
+	if visit != nil {
+		m.SetCrashPointHook(func(persist int) {
+			if k := persist - base; visitErr == nil && (want == nil || want(k)) {
+				visitErr = visit(m, k, step)
+			}
+		})
+	}
+	for ; step < p.Steps && visitErr == nil; step++ {
 		if err := w.Step(tm); err != nil {
-			return 0, nil, fmt.Errorf("crash: counting step %d: %w", i, err)
+			return 0, nil, fmt.Errorf("crash: step %d: %w", step, err)
 		}
+	}
+	if visitErr != nil && visitErr != errStopRun {
+		return 0, nil, visitErr
 	}
 	return m.Persists() - base, stageStarts, nil
 }

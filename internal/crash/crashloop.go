@@ -78,15 +78,8 @@ func RunLoopIteration(p Params, crashAt, bound int) (LoopResult, error) {
 	out.BoundedPasses = r.BoundedRecoveries()
 	pmem.Recover(r, logBase, logSize)
 	out.RecoveryPersists = r.Persists()
-	for _, n := range []int{completed, completed + 1} {
-		ok, err := matchesReplay(p, r, n)
-		if err != nil {
-			return LoopResult{}, err
-		}
-		if ok {
-			out.Consistent = true
-			break
-		}
+	if out.Consistent, err = newOracle(p).consistent(r, completed); err != nil {
+		return LoopResult{}, err
 	}
 	return out, nil
 }

@@ -258,90 +258,92 @@ func (r *FuzzResult) String() string {
 
 // Fuzz runs the differential sweep: every sampled crash point (and,
 // when Nested, every sampled recovery crash point beneath it) across
-// every mode, in parallel, with deterministic results for a fixed
-// SampleSeed at any Parallel value.
+// every mode, with deterministic results for a fixed SampleSeed at any
+// Parallel value. Each mode's workload executes once and every crash
+// point is forked off that execution (see forkPoints); the Parallel
+// workers spread across modes, and verdicts stay slotted by mode.
 func Fuzz(fp FuzzParams) (*FuzzResult, error) {
 	fp = fp.withDefaults()
 	res := &FuzzResult{Params: fp}
-	for _, mode := range fp.Modes {
-		v, err := fuzzMode(fp, mode)
-		if err != nil {
-			return nil, fmt.Errorf("crash: fuzz %v/%s: %w", mode, fp.Workload, err)
-		}
-		res.Verdicts = append(res.Verdicts, v)
+	if len(fp.Modes) == 0 {
+		return res, nil
 	}
-	return res, nil
-}
-
-// pointOutcome collects one outer crash point's results, slotted by
-// point index so aggregation is scheduling-independent.
-type pointOutcome struct {
-	outer  Result
-	nested []Result
-}
-
-func fuzzMode(fp FuzzParams, mode machine.Mode) (ModeVerdict, error) {
-	p := fp.params(mode)
-	total, stageStarts, err := persistProfile(p)
-	if err != nil {
-		return ModeVerdict{}, err
-	}
-	points := samplePoints(total, stageStarts, fp.MaxPoints, fp.SampleSeed)
-	outcomes := make([]pointOutcome, len(points))
+	// The replays are mode-independent: one oracle serves every mode.
+	o := newOracle(fp.params(fp.Modes[0]))
+	res.Verdicts = make([]ModeVerdict, len(fp.Modes))
 	workers := fp.Parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	err = par.ForEachIndex(workers, len(points), func(i int) error {
-		crashAt := points[i]
-		outer, err := Run(p, crashAt)
+	err := par.ForEachIndex(workers, len(fp.Modes), func(i int) error {
+		mode := fp.Modes[i]
+		v, err := fuzzMode(fp, mode, o)
+		if err != nil {
+			return fmt.Errorf("crash: fuzz %v/%s: %w", mode, fp.Workload, err)
+		}
+		res.Verdicts[i] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+func fuzzMode(fp FuzzParams, mode machine.Mode, o *oracle) (ModeVerdict, error) {
+	p := fp.params(mode)
+	// A sampled sweep needs the crash-point space before choosing from
+	// it; an exhaustive one forks every point of its single execution.
+	var want func(int) bool
+	if fp.MaxPoints > 0 {
+		total, stageStarts, err := forkPoints(p, nil, nil)
+		if err != nil {
+			return ModeVerdict{}, err
+		}
+		set := make(map[int]bool)
+		for _, k := range samplePoints(total, stageStarts, fp.MaxPoints, fp.SampleSeed) {
+			set[k] = true
+		}
+		want = func(k int) bool { return set[k] }
+	}
+	v := ModeVerdict{Mode: mode, Name: mode.String(), ExpectedOK: ExpectedConsistent(mode, fp.Workload)}
+	note := func(res Result) {
+		if !res.Consistent {
+			v.Inconsistent = append(v.Inconsistent, res)
+		}
+		v.RecoveryProbes += res.RecoveryProbes
+	}
+	known := make(map[int]Result)
+	total, _, err := forkPoints(p, want, func(m *machine.Machine, crashAt, completed int) error {
+		outer, r, err := recoverAndCheck(m, o, completed, crashAt, -1)
 		if err != nil {
 			return err
 		}
-		o := pointOutcome{outer: outer}
-		if fp.Nested && outer.Crashed {
-			rp, err := recoveryPersists(p, crashAt)
+		v.Tested++
+		v.Crashed++ // a forked point always crashes
+		known[crashAt] = outer
+		note(outer)
+		if !fp.Nested {
+			return nil
+		}
+		// r is the uninterrupted recovery: its persist count is the
+		// recovery path's crash-point space.
+		for _, j := range sampleNested(r.Persists(), fp.MaxNested, fp.SampleSeed, crashAt) {
+			nres, _, err := recoverAndCheck(m, o, completed, crashAt, j)
 			if err != nil {
 				return err
 			}
-			for _, j := range sampleNested(rp, fp.MaxNested, fp.SampleSeed, crashAt) {
-				nres, err := RunNested(p, crashAt, j)
-				if err != nil {
-					return err
-				}
-				o.nested = append(o.nested, nres)
-			}
+			v.NestedTested++
+			note(nres)
 		}
-		outcomes[i] = o
 		return nil
 	})
 	if err != nil {
 		return ModeVerdict{}, err
 	}
-
-	v := ModeVerdict{
-		Mode: mode, Name: mode.String(),
-		TotalPoints: total, Tested: len(points),
-		ExpectedOK: ExpectedConsistent(mode, fp.Workload),
-	}
-	for _, o := range outcomes {
-		if o.outer.Crashed {
-			v.Crashed++
-		}
-		if !o.outer.Consistent {
-			v.Inconsistent = append(v.Inconsistent, o.outer)
-		}
-		v.RecoveryProbes += o.outer.RecoveryProbes
-		v.NestedTested += len(o.nested)
-		for _, nr := range o.nested {
-			if !nr.Consistent {
-				v.Inconsistent = append(v.Inconsistent, nr)
-			}
-			v.RecoveryProbes += nr.RecoveryProbes
-		}
-	}
+	v.TotalPoints = total
 	if len(v.Inconsistent) > 0 {
-		sh, err := shrink(p, v.Inconsistent[0])
+		sh, err := shrink(p, o, v.Inconsistent[0], known)
 		if err != nil {
 			return ModeVerdict{}, err
 		}
@@ -445,24 +447,21 @@ func sampleNested(recoverySteps, max int, seed int64, crashAt int) []int {
 // the outer persist index is shrunk. The invariant is the standard
 // one — the upper bound always fails — so the result is the earliest
 // failing index in the monotone sense (every probed index below it
-// recovered). The divergent lines at the minimized point are diffed
-// against the replay.
-func shrink(p Params, fail Result) (*Shrink, error) {
+// recovered). Outer probes the sweep already ran are read from known;
+// the others fork their point off one execution, and a nested search
+// runs all its probes at one fork. The divergent lines at the
+// minimized point are diffed against the replay.
+func shrink(p Params, o *oracle, fail Result, known map[int]Result) (*Shrink, error) {
 	sh := &Shrink{CrashStep: fail.CrashStep, RecoveryCrashStep: -1, Detail: fail.Detail}
-	probe := func(outer, rec int) (Result, error) {
-		sh.Probes++
-		if rec >= 0 {
-			return RunNested(p, outer, rec)
-		}
-		return Run(p, outer)
-	}
-	if fail.RecoveryCrashStep >= 0 {
-		lo, hi := 0, fail.RecoveryCrashStep
+	// search binary-searches [0, hi] for the earliest failing index.
+	search := func(hi int, probe func(int) (Result, error)) (int, error) {
+		lo := 0
 		for lo < hi {
 			mid := lo + (hi-lo)/2
-			res, err := probe(fail.CrashStep, mid)
+			sh.Probes++
+			res, err := probe(mid)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			if !res.Consistent {
 				hi = mid
@@ -471,38 +470,71 @@ func shrink(p Params, fail Result) (*Shrink, error) {
 				lo = mid + 1
 			}
 		}
-		sh.RecoveryCrashStep = hi
-	} else {
-		lo, hi := 0, fail.CrashStep
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			res, err := probe(mid, -1)
-			if err != nil {
-				return nil, err
+		return hi, nil
+	}
+	// atPoint forks outer crash point k and runs f there.
+	atPoint := func(k int, f func(m *machine.Machine, completed int) error) error {
+		_, _, err := forkPoints(p, func(i int) bool { return i == k }, func(m *machine.Machine, _, completed int) error {
+			if err := f(m, completed); err != nil {
+				return err
 			}
-			if !res.Consistent {
-				hi = mid
-				sh.Detail = res.Detail
-			} else {
-				lo = mid + 1
-			}
+			return errStopRun
+		})
+		return err
+	}
+	// diff records the divergent lines of the minimized point's recovery.
+	diff := func(m *machine.Machine, completed int) error {
+		res, r, err := recoverAndCheck(m, o, completed, sh.CrashStep, sh.RecoveryCrashStep)
+		if err != nil || res.Consistent {
+			return err
 		}
-		sh.CrashStep = hi
-	}
-
-	res, r, err := runAndRecover(p, sh.CrashStep, sh.RecoveryCrashStep, nil)
-	if err != nil {
-		return nil, err
-	}
-	if r != nil && !res.Consistent {
 		if sh.Detail == "" {
 			sh.Detail = res.Detail
 		}
+		// A fresh replay: diffLines reads the backend through Load,
+		// which materializes lines, so the oracle's copy is not shared.
 		_, tb, err := replay(p, res.CompletedSteps)
+		if err != nil {
+			return err
+		}
+		sh.Diffs = diffLines(r, tb)
+		return nil
+	}
+
+	if fail.RecoveryCrashStep >= 0 {
+		err := atPoint(sh.CrashStep, func(m *machine.Machine, completed int) error {
+			hi, err := search(fail.RecoveryCrashStep, func(j int) (Result, error) {
+				res, _, err := recoverAndCheck(m, o, completed, sh.CrashStep, j)
+				return res, err
+			})
+			if err != nil {
+				return err
+			}
+			sh.RecoveryCrashStep = hi
+			return diff(m, completed)
+		})
 		if err != nil {
 			return nil, err
 		}
-		sh.Diffs = diffLines(r, tb)
+		return sh, nil
+	}
+	hi, err := search(fail.CrashStep, func(k int) (Result, error) {
+		if res, ok := known[k]; ok {
+			return res, nil
+		}
+		var res Result
+		err := atPoint(k, func(m *machine.Machine, completed int) (err error) {
+			res, _, err = recoverAndCheck(m, o, completed, k, -1)
+			return err
+		})
+		return res, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	sh.CrashStep = hi
+	if err := atPoint(hi, diff); err != nil {
+		return nil, err
 	}
 	return sh, nil
 }

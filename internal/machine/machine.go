@@ -103,6 +103,9 @@ type Machine struct {
 	persists int
 	crashAt  int // -1 = never
 	crashed  bool
+	// crashPointHook, when non-nil, runs at every crash point (see
+	// SetCrashPointHook).
+	crashPointHook func(persist int)
 
 	// rec, when non-nil, records persist instants and RSR spans. The
 	// machine has no cycle clock, so its trace timeline is the persist
@@ -297,6 +300,17 @@ func (m *Machine) Persists() int { return m.persists }
 // writes that should not count toward the crash sweep.
 func (m *Machine) ArmCrashAtPersist(n int) { m.crashAt = m.persists + n }
 
+// SetCrashPointHook installs f to run at every crash point: inside each
+// persistence micro-step, after due media faults strike and exactly
+// where an armed crash would power the machine off — before the step
+// lands. f receives the step's index (Persists() at that moment).
+// Recover only reads its receiver, so calling m.Recover from f boots the
+// successor a crash at that step would leave, while the run carries on
+// uncrashed; the crash fuzzer forks every crash point of one execution
+// this way (with no fault injector attached). f must not mutate m.
+// Successors built by Recover do not inherit the hook; nil removes it.
+func (m *Machine) SetCrashPointHook(f func(persist int)) { m.crashPointHook = f }
+
 // stepPersist consumes one persistence micro-step, crashing if the
 // injection point has arrived. It reports whether the step may proceed.
 func (m *Machine) stepPersist() bool {
@@ -308,6 +322,9 @@ func (m *Machine) stepPersist() bool {
 		// this persist proceeds (and before any crash at this point —
 		// the fault strikes first, then the power goes).
 		m.inj.Sync(injMem{m})
+	}
+	if m.crashPointHook != nil {
+		m.crashPointHook(m.persists)
 	}
 	if m.crashAt >= 0 && m.persists == m.crashAt {
 		m.crashed = true
@@ -569,6 +586,12 @@ func (m *Machine) Crash() {
 // recovery), and a further Recover must pick up from there. The
 // battery flush of WBBattery is exempt — it happens on the dying
 // machine under guaranteed power.
+//
+// Recover only reads m: the successor gets copies of the persistent
+// state, and the one structure they share, the pad cache, is a
+// key-pure memo. (An attached fault injector and recorder are shared
+// too, and the successor's recovery work advances them.) So it may be
+// called on a live machine as well — see SetCrashPointHook.
 func (m *Machine) Recover(opts ...Option) *Machine {
 	n := &Machine{
 		mode:     m.mode,

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -344,5 +345,61 @@ func TestNamesComplete(t *testing.T) {
 		if Names[i] != n {
 			t.Fatalf("Names[%d] = %q, want %q", i, Names[i], n)
 		}
+	}
+}
+
+// Verify only reads the workload: the crash fuzzer memoizes each
+// replayed workload and verifies every crash point's recovered machine
+// against it, from several goroutines at once. A workload that has been
+// verified — against a matching backend, a mismatching one and the
+// byte-accurate machine — must equal a twin that never was.
+func TestVerifyLeavesWorkloadUnchanged(t *testing.T) {
+	const steps = 12
+	build := func(name string, b pmem.Backend, steps int) Workload {
+		t.Helper()
+		w, err := New(name, testParams(t, 256, 32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := pmem.NewTxManager(b, testLogBase, testLogSize)
+		if err := w.Setup(tm); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < steps; i++ {
+			if err := w.Step(tm); err != nil {
+				t.Fatalf("%s step %d: %v", name, i, err)
+			}
+		}
+		return w
+	}
+	for _, name := range Names {
+		t.Run(name, func(t *testing.T) {
+			w := build(name, pmem.NewTracingBackend(), steps)
+			twin := build(name, pmem.NewTracingBackend(), steps)
+			if !reflect.DeepEqual(w, twin) {
+				t.Fatal("two builds of the same workload differ")
+			}
+			match := pmem.NewTracingBackend()
+			build(name, match, steps)
+			ahead := pmem.NewTracingBackend()
+			build(name, ahead, steps+1)
+			m, err := machine.New(machine.WTRegister, []byte("verify-invariant"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			build(name, m, steps)
+			for _, b := range []pmem.Backend{match, m} {
+				if err := w.Verify(b); err != nil {
+					t.Fatalf("matching state fails to verify: %v", err)
+				}
+			}
+			if w.Verify(pmem.NewTracingBackend()) == nil {
+				t.Fatal("an empty backend verifies")
+			}
+			w.Verify(ahead) // either verdict: only the side effects matter
+			if !reflect.DeepEqual(w, twin) {
+				t.Fatal("Verify changed the workload")
+			}
+		})
 	}
 }
