@@ -54,6 +54,13 @@
 // re-encryptions. -hist collects latency histograms on every cell; with
 // -json they land in the artifact's "histograms" block. Output stays
 // byte-identical at any -parallel value.
+//
+// Profiling: -cpuprofile cpu.out and -memprofile mem.out write
+// runtime/pprof profiles of a successful run for `go tool pprof`.
+//
+// The command takes flags only: a positional argument exits with status
+// 2 before anything runs (flag parsing stops at the first one, so the
+// flags after it would otherwise be dropped silently).
 package main
 
 import (
@@ -66,6 +73,7 @@ import (
 	"time"
 
 	"supermem"
+	"supermem/internal/profile"
 )
 
 // artifact is the machine-readable per-experiment record -json emits.
@@ -101,6 +109,8 @@ func main() {
 		parallelEng  = flag.Bool("parallel-engine", false, "use the bank-partitioned event engine (config.ParallelEngine; output is byte-identical)")
 		perfAppend   = flag.String("perf-append", "", "append this run's headline wall times to the given perf-trajectory JSON file (e.g. BENCH_perf.json)")
 		perfLabel    = flag.String("perf-label", "", "free-form label recorded with -perf-append (e.g. a commit subject)")
+		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof)")
+		memProfile   = flag.String("memprofile", "", "write a heap profile at the end of the run to this file (runtime/pprof)")
 
 		coreModel = flag.String("core", "", "core timing model for every experiment: inorder (default) or ooo")
 		oooWidth  = flag.Int("ooo-width", 0, "OoO issue-window width (0 = default 4; requires -core ooo)")
@@ -130,6 +140,19 @@ func main() {
 		mlpTx       = flag.Int("mlp-tx", 0, "transaction size in bytes for -exp mlp (default 1024)")
 	)
 	flag.Parse()
+	// flag.Parse stops at the first non-flag argument, so a stray value
+	// (e.g. "-json out.json": -json takes none) would silently drop every
+	// flag after it.
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "supermem-bench: unexpected argument %q (flags only; -json takes no value)\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "supermem-bench: %v\n", err)
+		os.Exit(1)
+	}
 
 	opts := supermem.DefaultExperimentOpts()
 	if *transactions > 0 {
@@ -413,6 +436,10 @@ func main() {
 			Transactions:   opts.Transactions,
 			Experiments:    walls,
 		})
+	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "supermem-bench: %v\n", err)
+		os.Exit(1)
 	}
 }
 

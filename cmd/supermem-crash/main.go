@@ -28,6 +28,9 @@
 // Determinism contract: for a fixed -seed the tested point set — and
 // therefore the entire report — is byte-identical at any -parallel
 // value.
+//
+// Profiling: -cpuprofile cpu.out and -memprofile mem.out write
+// runtime/pprof profiles of the run for `go tool pprof`.
 package main
 
 import (
@@ -39,6 +42,7 @@ import (
 	"time"
 
 	"supermem"
+	"supermem/internal/profile"
 )
 
 // modes maps -mode names to the registered machine designs; it is built
@@ -81,6 +85,8 @@ func main() {
 		eventsMax = flag.Int("events-max", 1<<20, "trace event buffer cap per workload")
 		hist      = flag.Bool("hist", false, "print the persist-steps-per-transaction histogram of a reference run per workload")
 		obsWindow = flag.Uint64("obs-window", 0, "observability series window in persist steps (0 = default 4096)")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof)")
+		memProf   = flag.String("memprofile", "", "write a heap profile at the end of the run to this file (runtime/pprof)")
 	)
 	flag.Parse()
 	// flag.Parse stops at the first non-flag argument, so a stray value
@@ -90,6 +96,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "supermem-crash: unexpected argument %q (flags only; -json takes no value)\n", flag.Arg(0))
 		flag.Usage()
 		os.Exit(2)
+	}
+	stopProfiles, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "supermem-crash: %v\n", err)
+		os.Exit(1)
+	}
+	// Both ends of a completed run exit through finish, so the profiles
+	// are written before the process exits.
+	finish := func(code int) {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "supermem-crash: %v\n", err)
+			code = 1
+		}
+		os.Exit(code)
 	}
 
 	workloads := supermem.Workloads()
@@ -101,7 +121,7 @@ func main() {
 	// predate the differential fuzzer.
 	if *modeName != "" || *stride > 0 {
 		runLegacySweep(*modeName, workloads, *steps, *stride)
-		return
+		finish(0)
 	}
 
 	if *events != "" || *hist {
@@ -146,7 +166,7 @@ func main() {
 			Text:       text,
 		})
 	}
-	os.Exit(exitCode)
+	finish(exitCode)
 }
 
 // observeReferenceRuns executes one crash-free reference run per

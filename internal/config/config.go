@@ -298,6 +298,10 @@ type Config struct {
 	CWCOverride *bool
 }
 
+// MaxBanks is the largest supported bank count: the memory controller
+// tracks banks as bits of one uint64.
+const MaxBanks = 64
+
 // Default returns the paper's Table 2 configuration with a single core and
 // the SuperMem scheme.
 func Default() Config {
@@ -408,6 +412,9 @@ func (c Config) Validate() error {
 		// Banks == 1 is a power of two but breaks XBank placement
 		// ((X+N/2) mod N needs a partner bank) and bank quarantine.
 		return fmt.Errorf("config: bank count %d must be a power of two >= 2", c.Banks)
+	}
+	if c.Banks > MaxBanks {
+		return fmt.Errorf("config: bank count %d exceeds the limit of %d (the memory controller keeps one bit per bank in a uint64)", c.Banks, MaxBanks)
 	}
 	if c.WriteQueueEntries < 2 {
 		return fmt.Errorf("config: write queue needs >= 2 entries to hold an atomic data+counter pair, got %d", c.WriteQueueEntries)

@@ -120,6 +120,7 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 		{"three banks", func(c *Config) { c.Banks = 3 }, "power of two"},
 		{"one bank", func(c *Config) { c.Banks = 1 }, "power of two >= 2"},
 		{"five banks", func(c *Config) { c.Banks = 5 }, "power of two"},
+		{"128 banks", func(c *Config) { c.Banks = 128 }, "limit of 64"},
 		{"zero wq", func(c *Config) { c.WriteQueueEntries = 0 }, "write queue"},
 		{"one-entry wq", func(c *Config) { c.WriteQueueEntries = 1 }, "data+counter pair"},
 		{"zero write latency", func(c *Config) { c.WriteCycles = 0 }, "service"},
@@ -138,6 +139,11 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.substr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.substr)
 		}
+	}
+	c := Default()
+	c.Banks = MaxBanks
+	if err := c.Validate(); err != nil {
+		t.Errorf("%d banks rejected: %v", MaxBanks, err)
 	}
 }
 

@@ -82,7 +82,9 @@ func (f *mshrFile) readLine(t, line uint64) uint64 {
 	}
 	done := f.c.mc.ReadLine(at, line)
 	*slot = mshrEntry{line: line, done: done, valid: true}
-	f.s.rec.Gauge(obs.SeriesMSHROccupancy, at, float64(f.outstanding(at)))
+	if f.s.rec != nil {
+		f.s.rec.Gauge(obs.SeriesMSHROccupancy, at, float64(f.outstanding(at)))
+	}
 	if f.c.pf != nil && line < f.s.layout.CtrBase {
 		// A real data miss: train the stride detector, which may issue
 		// prefetches of its own (they come back through tryPrefetch, not
@@ -109,7 +111,9 @@ func (f *mshrFile) tryPrefetch(t, line uint64) (done uint64, ok bool) {
 	}
 	done = f.c.mc.ReadLine(t, line)
 	*slot = mshrEntry{line: line, done: done, valid: true, prefetch: true}
-	f.s.rec.Gauge(obs.SeriesMSHROccupancy, t, float64(f.outstanding(t)))
+	if f.s.rec != nil {
+		f.s.rec.Gauge(obs.SeriesMSHROccupancy, t, float64(f.outstanding(t)))
+	}
 	return done, true
 }
 
@@ -143,7 +147,8 @@ func (f *mshrFile) alloc(t uint64) (*mshrEntry, uint64) {
 	return &f.entries[best], bestDone
 }
 
-// outstanding counts in-flight entries at cycle t.
+// outstanding counts in-flight entries at cycle t. Only the occupancy
+// gauge reads it, so callers skip it without a recorder.
 func (f *mshrFile) outstanding(t uint64) (n int) {
 	for i := range f.entries {
 		if f.entries[i].valid && f.entries[i].done > t {

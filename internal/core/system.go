@@ -309,6 +309,11 @@ func (s *System) SetBankFaults(f *fault.BankFaults) {
 // fastforward.go); 0 when the whole run was simulated in detail.
 func (s *System) FastForwardedOps() int { return s.ffOps }
 
+// EventsFired returns how many events the system's event engine has
+// fired: a deterministic work counter of the detailed simulation (a
+// fast-forwarded warmup prefix fires none).
+func (s *System) EventsFired() uint64 { return s.eng.Fired() }
+
 // Config returns the system's configuration.
 func (s *System) Config() config.Config { return s.cfg }
 

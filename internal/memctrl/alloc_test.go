@@ -70,3 +70,52 @@ func TestEntryPoolSteadyState(t *testing.T) {
 		t.Fatalf("%d entries leaked", live)
 	}
 }
+
+// TestSchedulerPassesZeroAllocs is the allocation gate of the
+// scheduling pass itself: a full queue with stalled waiters, reads
+// holding banks busy (so passes arm retries), CWC removals and
+// beyond-window issues must all run without allocating once the queue,
+// waiter list, entry pool and event heap are warm.
+func TestSchedulerPassesZeroAllocs(t *testing.T) {
+	r := newRig(t, 16, true)
+	acc := &nopAcceptor{}
+	groups := make([][]Entry, 24)
+	for i := range groups {
+		// Mostly one hot data bank, so the window backs up and the
+		// idle-bank writes behind it issue from beyond the window.
+		bank := 0
+		if i%4 == 3 {
+			bank = 2
+		}
+		groups[i] = []Entry{
+			r.data(bank, uint64(i)),
+			r.ctr(4+i%2, 0), // two counter lines, rewritten: CWC removes
+		}
+	}
+	stalled := 0
+	cycle := func() {
+		now := r.eng.Now()
+		r.c.ReadLine(now, r.data(0, 999).Addr) // bank 0 busy: retries
+		r.c.ReadLine(now, r.data(1, 999).Addr)
+		for _, g := range groups {
+			if err := r.c.EnqueueTo(now, g, acc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stalled += r.c.PendingWaiters()
+		r.c.Flush(now)
+		r.eng.Run()
+	}
+	for i := 0; i < 32; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("scheduling passes allocate %v objects per cycle, want 0", allocs)
+	}
+	if stalled == 0 || r.m.CoalescedWrites == 0 {
+		t.Fatalf("cycle never stalled a group (%d) or coalesced a counter (%d)", stalled, r.m.CoalescedWrites)
+	}
+	if !r.c.Drained() {
+		t.Fatal("controller did not drain")
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"supermem/internal/arena"
+	"supermem/internal/config"
 	"supermem/internal/nvm"
 	"supermem/internal/obs"
 	"supermem/internal/sim"
@@ -31,17 +32,26 @@ type Entry struct {
 // examines per pass.
 const issueWindow = 8
 
-type queued struct {
+// waiting is an un-issued write-queue entry. The queue holds it by
+// value, so the scheduler's scans read bank and counter flag without
+// chasing a pointer per entry.
+type waiting struct {
 	Entry
-	c      *Controller // owner, so a queued is its own retire event
-	bank   int         // cached BankOf(Addr)
-	issued bool
+	bank   int    // the bank that services it (BankOf, wear and quarantine remaps applied)
 	spanID uint64 // trace id for the admission..retirement async span
 }
 
-// Fire implements sim.EventObj: a queued entry's completion event is
-// the entry itself, so issuing a write schedules no closure.
-func (q *queued) Fire(now uint64) { q.c.retire(now, q) }
+// issued is a write at its bank; it is its own retire event, so issuing
+// a write schedules no closure.
+type issued struct {
+	c       *Controller
+	bank    int
+	counter bool
+	spanID  uint64
+}
+
+// Fire implements sim.EventObj.
+func (q *issued) Fire(now uint64) { q.c.retire(now, q) }
 
 // retryEv is bank b's pre-allocated issue-retry event. All retry state
 // (armed flag, time) lives in Controller.retries; the object exists
@@ -68,6 +78,11 @@ type bankRetry struct {
 	at    uint64
 	armed bool
 }
+
+// bankBit is bank b's bit in the scheduler's bank masks. New rejects
+// devices with more than config.MaxBanks banks, so b < 64 and the mask
+// in the shift only spares the compiler's out-of-range check.
+func bankBit(b int) uint64 { return 1 << (uint(b) & 63) }
 
 // Acceptor receives the cycle at which a stalled or immediate enqueue
 // was accepted into the ADR domain. It is an interface rather than a
@@ -102,7 +117,15 @@ type Controller struct {
 	dev      *nvm.Device
 	capacity int
 	cwc      bool
-	queue    []*queued
+	// queue holds the un-issued entries in arrival order. An issued
+	// entry leaves it at once and is only counted in nIssued until its
+	// retire fires, so scheduling passes and CWC lookups never walk
+	// writes already at their banks.
+	queue   []waiting
+	nIssued int
+	// qbuf backs queue with room for two full queues, so deletions can
+	// shift whichever side of the entry is shorter (see remove).
+	qbuf     []waiting
 	waiters  []waiter
 	m        *stats.Metrics
 	draining bool
@@ -114,9 +137,17 @@ type Controller struct {
 	retries []bankRetry
 	// pending[b] counts bank b's un-issued entries that the
 	// beyond-window pass may issue (everything but CWC-lingering
-	// counters), so that pass can tell in O(banks) whether scanning the
-	// queue tail could issue anything.
-	pending []int
+	// counters), and bit b of pendMask is set while it is non-zero, so
+	// that pass can tell from one AND whether scanning the queue tail
+	// could issue anything.
+	pending  []int
+	pendMask uint64
+	// winCnt[b] counts bank b's entries in the FR-FCFS window (the
+	// first issueWindow un-issued entries), and bit b of winMask is set
+	// while it is non-zero, so a pass can tell when the rest of its
+	// window walk could no longer do anything.
+	winCnt  []int
+	winMask uint64
 	// inflight[b]/writeDone[b]: whether bank b's current reservation is
 	// one of this controller's issued writes, and the cycle its retire
 	// fires. A retry armed for that same cycle would be redundant —
@@ -125,10 +156,10 @@ type Controller struct {
 	writeDone []uint64
 	rec       *obs.Recorder
 	nextID    uint64 // queue-entry span ids
-	// entryPool recycles queued objects (retire returns them) and
+	// entryPool recycles issued objects (retire returns them) and
 	// retryEvs holds one pre-allocated retry event per bank, so the
 	// steady-state enqueue/issue/retire cycle performs zero allocations.
-	entryPool arena.Pool[queued]
+	entryPool arena.Pool[issued]
 	retryEvs  []retryEv
 	// partitioned routes retire and retry events to per-bank engine
 	// sub-heaps (engine partition = bank+1). Firing order is unchanged —
@@ -164,10 +195,14 @@ type Controller struct {
 
 // New builds a controller over the device. Capacity must be at least 2:
 // a flush appends a data line and its counter line atomically, so a
-// single-slot queue could never accept one.
+// single-slot queue could never accept one. The device may have at most
+// config.MaxBanks banks: the scheduler keeps bank sets as uint64 masks.
 func New(eng *sim.Engine, dev *nvm.Device, capacity int, cwc bool, m *stats.Metrics) (*Controller, error) {
 	if capacity < 2 {
 		return nil, fmt.Errorf("memctrl: write queue capacity %d < 2 cannot hold an atomic data+counter pair", capacity)
+	}
+	if dev.Banks() > config.MaxBanks {
+		return nil, fmt.Errorf("memctrl: %d banks exceed the limit of %d", dev.Banks(), config.MaxBanks)
 	}
 	hi := capacity * 3 / 4
 	if hi < 2 {
@@ -184,6 +219,7 @@ func New(eng *sim.Engine, dev *nvm.Device, capacity int, cwc bool, m *stats.Metr
 		loWM:      lo,
 		retries:   make([]bankRetry, dev.Banks()),
 		pending:   make([]int, dev.Banks()),
+		winCnt:    make([]int, dev.Banks()),
 		inflight:  make([]bool, dev.Banks()),
 		writeDone: make([]uint64, dev.Banks()),
 
@@ -191,6 +227,8 @@ func New(eng *sim.Engine, dev *nvm.Device, capacity int, cwc bool, m *stats.Metr
 		failures:    make([]int, dev.Banks()),
 		quarantined: make([]bool, dev.Banks()),
 	}
+	c.qbuf = make([]waiting, 2*capacity)
+	c.queue = c.qbuf[:0]
 	c.retryEvs = make([]retryEv, dev.Banks())
 	for b := range c.retryEvs {
 		c.retryEvs[b] = retryEv{c: c, bank: b}
@@ -229,8 +267,9 @@ func (c *Controller) SetPartitioned(on bool) {
 	c.partitioned = on
 }
 
-// Len returns the current write queue occupancy.
-func (c *Controller) Len() int { return len(c.queue) }
+// Len returns the current write queue occupancy: un-issued entries plus
+// issued ones not yet retired.
+func (c *Controller) Len() int { return len(c.queue) + c.nIssued }
 
 // Capacity returns the configured queue capacity.
 func (c *Controller) Capacity() int { return c.capacity }
@@ -274,7 +313,7 @@ func (c *Controller) EnqueueTo(now uint64, entries []Entry, accept Acceptor) err
 // fits reports whether entries can be admitted now, accounting for the
 // slots CWC would free.
 func (c *Controller) fits(entries []Entry) bool {
-	free := c.capacity - len(c.queue)
+	free := c.capacity - c.Len()
 	if c.cwc {
 		for _, e := range entries {
 			if e.Counter && c.findCoalescible(e.Addr) >= 0 {
@@ -290,7 +329,7 @@ func (c *Controller) fits(entries []Entry) bool {
 // cheap in hardware (only flagged entries are compared).
 func (c *Controller) findCoalescible(addr uint64) int {
 	for i, q := range c.queue {
-		if q.Counter && !q.issued && q.Addr == addr {
+		if q.Counter && q.Addr == addr {
 			return i
 		}
 	}
@@ -315,15 +354,13 @@ func (c *Controller) admit(now uint64, entries []Entry) {
 				// and removing the former rather than merging into it
 				// delays the write so more coalescing can happen.
 				victim := c.queue[i]
-				c.queue = append(c.queue[:i], c.queue[i+1:]...)
+				c.remove(i)
 				c.m.CoalescedWrites++
 				if c.rec != nil {
 					c.rec.Count(obs.SeriesCoalesced, now, 1)
 					c.rec.AsyncEnd(obs.TrackQueue, entrySpan(true), victim.spanID, now)
 					c.rec.InstantArg(obs.TrackQueue, "cwc remove", now, "addr", victim.Addr)
 				}
-				// Never issued, so no retire event holds it: recycle.
-				c.entryPool.Put(victim)
 			}
 		}
 		home := c.dev.Layout().BankOf(e.Addr)
@@ -332,11 +369,20 @@ func (c *Controller) admit(now uint64, entries []Entry) {
 			c.m.WearRemappedWrites++
 			c.rec.Count(obs.SeriesWearRemaps, now, 1)
 		}
-		q := c.entryPool.Get()
-		*q = queued{Entry: e, c: c, bank: c.effBank(now, b)}
-		c.queue = append(c.queue, q)
+		if len(c.queue) == cap(c.queue) {
+			// Front deletions have walked the queue to the end of qbuf:
+			// move it back to the start.
+			c.queue = c.qbuf[:copy(c.qbuf, c.queue)]
+		}
+		bank := c.effBank(now, b)
+		if len(c.queue) < issueWindow {
+			c.winAdd(bank)
+		}
+		c.queue = append(c.queue, waiting{Entry: e, bank: bank})
+		q := &c.queue[len(c.queue)-1]
 		if !(c.cwc && e.Counter) {
 			c.pending[q.bank]++
+			c.pendMask |= bankBit(q.bank)
 		}
 		if c.rec != nil {
 			c.nextID++
@@ -347,23 +393,39 @@ func (c *Controller) admit(now uint64, entries []Entry) {
 			}
 		}
 	}
-	c.rec.Gauge(obs.SeriesWQOccupancy, now, float64(len(c.queue)))
-	if len(c.queue) > c.capacity {
+	c.rec.Gauge(obs.SeriesWQOccupancy, now, float64(c.Len()))
+	if c.Len() > c.capacity {
 		panic("memctrl: write queue over capacity")
 	}
 	c.tryIssue(now)
 }
 
-// tryIssue scans the queue in arrival order and sends every entry whose
-// bank is idle to the device (FR-FCFS-style, no head-of-line blocking
-// across banks), respecting the drain watermarks.
+// tryIssue is one scheduling pass: it scans the un-issued entries in
+// arrival order and sends every entry whose bank is idle to the device
+// (FR-FCFS-style, no head-of-line blocking across banks), respecting
+// the drain watermarks.
+//
+// A pass costs what it acts on. It reads the banks' idle state once, as
+// a mask, and keeps it current as it issues; it arms each busy bank's
+// retry at most once, because a second scheduleRetry for a bank in the
+// same pass is a no-op (the bank stays busy and nothing else moves its
+// retry state); and issued entries leave the queue, so no pass walks
+// them again.
+//
+// Passes are not idempotent, even within one cycle: issuing slides the
+// FR-FCFS window, so a second pass at the same cycle examines entries
+// the first one saw only beyond the window — a CWC counter among them
+// may now issue. Every caller's pass (admission, retire after admitting
+// waiters, retries, Flush) therefore runs even when another pass has
+// just run at the same cycle; eliding one changes simulated results.
 func (c *Controller) tryIssue(now uint64) {
 	// Update drain state: start at the high watermark or whenever a
 	// core is stalled on a full queue; stop at the low watermark.
-	if !c.draining && (len(c.queue) >= c.hiWM || len(c.waiters) > 0 || c.forced) {
+	occupancy := c.Len()
+	if !c.draining && (occupancy >= c.hiWM || len(c.waiters) > 0 || c.forced) {
 		c.draining = true
 	}
-	if c.draining && len(c.queue) <= c.loWM && len(c.waiters) == 0 && !c.forced {
+	if c.draining && occupancy <= c.loWM && len(c.waiters) == 0 && !c.forced {
 		c.draining = false
 	}
 	if !c.draining {
@@ -375,28 +437,42 @@ func (c *Controller) tryIssue(now uint64) {
 	// the window while its line keeps being rewritten — the "delay the
 	// counter cache line write for merging more writes" of
 	// Section 3.4.3.
-	examined := 0
-	for i, q := range c.queue {
-		if q.issued {
+	//
+	// An entry can act only if its bank is idle (it issues) or busy
+	// with no retry call yet this pass. A bank this pass issued to
+	// counts as retried: it is busy with this controller's own write,
+	// so scheduleRetry would return at once. The walk stops when no
+	// window bank can act any more; winMask covers every entry left in
+	// it.
+	idle := c.dev.IdleMask(now)
+	var retried uint64
+	window := min(issueWindow, len(c.queue))
+	for i := 0; i < window && c.winMask&(idle|^retried) != 0; {
+		q := &c.queue[i]
+		bit := bankBit(q.bank)
+		if idle&bit == 0 {
+			if retried&bit == 0 {
+				retried |= bit
+				c.scheduleRetry(q.bank)
+			}
+			i++
 			continue
 		}
-		if examined >= issueWindow {
-			// The window is exhausted with un-issued entries still
-			// behind it: without looking further, a write to an idle
-			// bank sitting just past the window would stall until a
-			// hot-bank retire advances the window — banks are
-			// independent, so let it through now. (Window entries on
-			// busy banks armed their retries above, so the window
-			// itself advances at the earliest BankFreeAt among them.)
-			c.issueBeyondWindow(now, i)
-			return
+		if c.issue(now, i) > now {
+			idle &^= bit
+			retried |= bit
 		}
-		examined++
-		if !c.dev.BankFree(q.bank, now) {
-			c.scheduleRetry(q.bank)
-			continue
-		}
-		c.issue(now, q)
+		window--
+	}
+	if len(c.queue) > window {
+		// The window is exhausted with un-issued entries still behind
+		// it: without looking further, a write to an idle bank sitting
+		// just past the window would stall until a hot-bank retire
+		// advances the window — banks are independent, so let it
+		// through now. (Window entries on busy banks armed their
+		// retries above, so the window itself advances at the earliest
+		// BankFreeAt among them.)
+		c.issueBeyondWindow(now, window, idle)
 	}
 }
 
@@ -404,50 +480,77 @@ func (c *Controller) tryIssue(now uint64) {
 // queue index from) and issues those whose banks are idle. Counter
 // entries stay put under CWC — lingering un-issued is what lets later
 // rewrites coalesce into them (Section 3.4.3).
-func (c *Controller) issueBeyondWindow(now uint64, from int) {
-	// Summarize "idle bank with issuable work pending" as a bitmask
-	// first: the common case here is one hot bank backing up the whole
-	// queue, and a per-entry device query (plus retry arming) on that
-	// path showed up as ~20% of simulation CPU. With the mask the
-	// common case returns in O(banks) without touching the queue.
-	// Entries on busy banks are simply left for the window to reach —
-	// the in-window pass has already armed the bank retries that
-	// advance it, so no extra events are needed. (Banks beyond 64 never
-	// set a bit and conservatively wait for the window.)
-	var free uint64
-	for b, n := range c.pending {
-		if n > 0 && c.dev.BankFree(b, now) {
-			free |= 1 << uint(b)
-		}
-	}
-	if free == 0 {
-		return
-	}
-	for _, q := range c.queue[from:] {
-		if q.issued || (c.cwc && q.Counter) {
+func (c *Controller) issueBeyondWindow(now uint64, from int, idle uint64) {
+	// "Idle bank with issuable work pending" is one AND of two masks:
+	// the common case here is one hot bank backing up the whole queue,
+	// and it returns without touching the queue. Entries on busy banks
+	// are simply left for the window to reach — the in-window pass has
+	// already armed the bank retries that advance it, so no extra
+	// events are needed.
+	free := idle & c.pendMask
+	for i := from; free != 0 && i < len(c.queue); {
+		q := &c.queue[i]
+		bit := bankBit(q.bank)
+		if free&bit == 0 || (c.cwc && q.Counter) {
+			i++
 			continue
 		}
-		if free&(1<<uint(q.bank)) == 0 {
-			continue
-		}
-		c.issue(now, q)
-		free &^= 1 << uint(q.bank)
-		if free == 0 {
-			return
-		}
+		c.issue(now, i)
+		free &^= bit
 	}
 }
 
-// issue sends one queue entry to its (idle) bank.
-func (c *Controller) issue(now uint64, q *queued) {
-	q.issued = true
-	if !(c.cwc && q.Counter) {
-		c.pending[q.bank]--
+// remove deletes the un-issued entry at queue index i. Issues come
+// mostly from the window at the front, so shifting the entries before i
+// one slot back (and starting the queue one slot later) usually moves
+// far fewer than shifting the tail forward would.
+func (c *Controller) remove(i int) {
+	q := c.queue
+	if i < issueWindow {
+		c.winDrop(q[i].bank)
+		if len(q) > issueWindow {
+			c.winAdd(q[issueWindow].bank) // slides into the window
+		}
+	}
+	if i < len(q)/2 {
+		copy(q[1:i+1], q[:i])
+		c.queue = q[1:]
+	} else {
+		copy(q[i:], q[i+1:])
+		c.queue = q[:len(q)-1]
+	}
+}
+
+// winAdd and winDrop count an entry of bank b into or out of the window.
+func (c *Controller) winAdd(b int) {
+	if c.winCnt[b]++; c.winCnt[b] == 1 {
+		c.winMask |= bankBit(b)
+	}
+}
+
+func (c *Controller) winDrop(b int) {
+	if c.winCnt[b]--; c.winCnt[b] == 0 {
+		c.winMask &^= bankBit(b)
+	}
+}
+
+// issue sends the un-issued entry at queue index i to its (idle) bank
+// and returns the cycle the write completes.
+func (c *Controller) issue(now uint64, i int) uint64 {
+	w := c.queue[i]
+	c.remove(i)
+	c.nIssued++
+	q := c.entryPool.Get()
+	*q = issued{c: c, bank: w.bank, counter: w.Counter, spanID: w.spanID}
+	if !(c.cwc && q.counter) {
+		if c.pending[q.bank]--; c.pending[q.bank] == 0 {
+			c.pendMask &^= bankBit(q.bank)
+		}
 	}
 	done := c.dev.WriteLineAt(now, q.bank)
 	c.inflight[q.bank] = true
 	c.writeDone[q.bank] = done
-	if q.Counter {
+	if q.counter {
 		c.m.CounterWrites++
 	} else {
 		c.m.DataWrites++
@@ -471,6 +574,7 @@ func (c *Controller) issue(now uint64, q *queued) {
 	} else {
 		c.eng.AtObj(done, q)
 	}
+	return done
 }
 
 // scheduleRetry arms one issue retry at the moment the bank frees, if
@@ -497,23 +601,18 @@ func (c *Controller) scheduleRetry(bank int) {
 
 // retire removes a completed entry from the queue, admits waiters that
 // now fit, and keeps the drain going.
-func (c *Controller) retire(now uint64, q *queued) {
+func (c *Controller) retire(now uint64, q *issued) {
 	if c.writeDone[q.bank] == now {
 		c.inflight[q.bank] = false
 	}
-	for i, e := range c.queue {
-		if e == q {
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			if c.rec != nil {
-				c.rec.AsyncEnd(obs.TrackQueue, entrySpan(q.Counter), q.spanID, now)
-				c.rec.Gauge(obs.SeriesWQOccupancy, now, float64(len(c.queue)))
-			}
-			// q left the queue and its retire event has fired; nothing
-			// references it anymore, so it can be recycled.
-			c.entryPool.Put(q)
-			break
-		}
+	c.nIssued--
+	if c.rec != nil {
+		c.rec.AsyncEnd(obs.TrackQueue, entrySpan(q.counter), q.spanID, now)
+		c.rec.Gauge(obs.SeriesWQOccupancy, now, float64(c.Len()))
 	}
+	// q's retire event has fired; nothing references it anymore, so it
+	// can be recycled.
+	c.entryPool.Put(q)
 	// Admit stalled flushes in arrival order while they fit. Consume by
 	// index and compact afterwards instead of reslicing the front away:
 	// walking the slice forward strands its capacity, which made every
@@ -644,7 +743,7 @@ func (c *Controller) effBank(now uint64, b int) int {
 
 // Drained reports whether the queue and waiters are empty (used by runs
 // to let the tail of the write stream complete).
-func (c *Controller) Drained() bool { return len(c.queue) == 0 && len(c.waiters) == 0 }
+func (c *Controller) Drained() bool { return c.Len() == 0 && len(c.waiters) == 0 }
 
 // Flush forces the controller to drain everything currently queued and
 // anything enqueued afterwards — the end-of-run write-back of a

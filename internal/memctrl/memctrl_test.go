@@ -412,6 +412,62 @@ func TestBeyondWindowLeavesCountersForCWC(t *testing.T) {
 	}
 }
 
+// A lingering CWC counter beyond the window is skipped even when its
+// bank is idle with data writes pending behind it (8 programs under
+// XBank put one program's counters on another's data bank): the data
+// write issues, the counter stays coalescible.
+func TestBeyondWindowSkipsCounterOnDataBank(t *testing.T) {
+	r := newRig(t, 32, true)
+	for i := uint64(0); i < 8; i++ {
+		r.enq(0, r.data(0, i))
+	}
+	r.enq(0, r.ctr(5, 0))  // beyond the window, idle bank 5
+	r.enq(0, r.data(5, 0)) // data behind it on the same bank
+	r.c.Flush(0)
+	if r.m.CounterWrites != 0 || r.m.DataWrites != 2 {
+		t.Fatalf("cycle 0 issued %d data / %d counter writes, want 2 / 0 (bank 0 head + bank 5 data)", r.m.DataWrites, r.m.CounterWrites)
+	}
+	r.enq(0, r.ctr(5, 0))
+	if r.m.CoalescedWrites != 1 {
+		t.Fatalf("CoalescedWrites = %d, want 1: the counter did not linger", r.m.CoalescedWrites)
+	}
+}
+
+// Scheduling passes are not idempotent within a cycle: issuing slides
+// the FR-FCFS window, so a second pass at the same cycle examines an
+// entry the first saw only beyond the window. Here a CWC counter on an
+// idle bank sits just past a window of seven writes to a busy bank and
+// one to an idle bank; the first pass issues the idle-bank write and
+// leaves the counter (beyond-window issue skips CWC counters), and the
+// second pass at cycle 0, with nothing else changed, issues it from the
+// window. Eliding the later of two same-cycle passes would change
+// results.
+func TestSameCyclePassesNotIdempotent(t *testing.T) {
+	r := newRig(t, 32, true)
+	r.c.ReadLine(0, r.data(0, 100).Addr) // bank 0 busy until ReadCycles
+	for i := uint64(0); i < 7; i++ {
+		r.enq(0, r.data(0, i))
+	}
+	r.enq(0, r.data(1, 0))
+	r.enq(0, r.ctr(2, 0))
+	if r.m.DataWrites+r.m.CounterWrites != 0 {
+		t.Fatal("writes issued below the high watermark")
+	}
+	r.c.forced = true
+	r.c.tryIssue(0)
+	if r.m.DataWrites != 1 || r.m.CounterWrites != 0 {
+		t.Fatalf("first pass issued %d data / %d counter writes, want 1 / 0", r.m.DataWrites, r.m.CounterWrites)
+	}
+	r.c.tryIssue(0)
+	if r.m.DataWrites != 1 || r.m.CounterWrites != 1 {
+		t.Fatalf("second pass at the same cycle issued %d data / %d counter writes in all, want 1 / 1", r.m.DataWrites, r.m.CounterWrites)
+	}
+	r.c.tryIssue(0)
+	if r.m.DataWrites != 1 || r.m.CounterWrites != 1 {
+		t.Fatalf("third pass issued more: %d data / %d counter writes, want 1 / 1", r.m.DataWrites, r.m.CounterWrites)
+	}
+}
+
 // The CWC benefit must grow with queue length: with a longer queue, more
 // un-issued counter writes with the same address accumulate (Figure 16a).
 func TestLongerQueueCoalescesMore(t *testing.T) {

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"fmt"
+	"slices"
 
 	"supermem/internal/config"
 	"supermem/internal/fault"
@@ -15,11 +16,6 @@ type BankStats struct {
 	BusyCycles uint64
 }
 
-type bank struct {
-	freeAt uint64
-	stats  BankStats
-}
-
 // Device is the timing model of the NVM DIMM: a set of banks, each able
 // to service one line operation at a time. Callers reserve bank time;
 // the device hands back start/completion times and accounts occupancy.
@@ -27,7 +23,11 @@ type Device struct {
 	layout Layout
 	read   uint64 // read service cycles per line
 	write  uint64 // write service cycles per line
-	banks  []bank
+	// freeAt[b] is the cycle bank b finishes its current operation.
+	// It is kept apart from the statistics so the scheduler's idle scan
+	// reads one compact array.
+	freeAt []uint64
+	stats  []BankStats
 	faults *fault.BankFaults
 	rec    *obs.Recorder
 }
@@ -38,7 +38,8 @@ func NewDevice(cfg config.Config) *Device {
 		layout: NewLayout(cfg),
 		read:   cfg.ReadCycles,
 		write:  cfg.WriteCycles,
-		banks:  make([]bank, cfg.Banks),
+		freeAt: make([]uint64, cfg.Banks),
+		stats:  make([]BankStats, cfg.Banks),
 	}
 }
 
@@ -58,14 +59,26 @@ func (d *Device) HasFaults() bool { return d.faults != nil }
 func (d *Device) Layout() Layout { return d.layout }
 
 // Banks returns the number of banks.
-func (d *Device) Banks() int { return len(d.banks) }
+func (d *Device) Banks() int { return len(d.freeAt) }
 
 // BankFreeAt returns the cycle at which the bank finishes its current
 // operation (it may be in the past if the bank is idle).
-func (d *Device) BankFreeAt(b int) uint64 { return d.banks[b].freeAt }
+func (d *Device) BankFreeAt(b int) uint64 { return d.freeAt[b] }
 
-// BankFree reports whether bank b is idle at cycle now.
-func (d *Device) BankFree(b int, now uint64) bool { return d.banks[b].freeAt <= now }
+// IdleMask returns the banks idle at cycle now as a bitmask: bit b is
+// set when bank b has finished its current operation (BankFreeAt(b) <=
+// now). It covers config.MaxBanks banks, the most a valid
+// configuration has; callers must not pass a larger device.
+func (d *Device) IdleMask(now uint64) (idle uint64) {
+	for b, t := range d.freeAt {
+		// Branch-free freeAt <= now: bank states are close to random
+		// from one scan to the next, so a branch here mispredicts.
+		// Cycle counts stay far below 1<<63, so the borrow of
+		// now-freeAt lands in bit 63 exactly when freeAt > now.
+		idle |= ((now-t)>>63 ^ 1) << (uint(b) & 63)
+	}
+	return idle
+}
 
 // ReadLine reserves the line's home bank for a read and returns the
 // completion time, ignoring transient fault outcomes (convenience over
@@ -82,7 +95,7 @@ func (d *Device) ReadLine(now, addr uint64) (done uint64) {
 func (d *Device) ReadLineAt(now uint64, b int) (done uint64, ok bool) {
 	fail, extra := d.faults.OnAccess(b)
 	done = d.reserve(b, now, d.read+extra, "bank read")
-	d.banks[b].stats.Reads++
+	d.stats[b].Reads++
 	return done, !fail
 }
 
@@ -102,18 +115,18 @@ func (d *Device) WriteLine(now, addr uint64) (done uint64) {
 func (d *Device) WriteLineAt(now uint64, b int) (done uint64) {
 	_, extra := d.faults.OnAccess(b)
 	done = d.reserve(b, now, d.write+extra, "bank write")
-	d.banks[b].stats.Writes++
+	d.stats[b].Writes++
 	return done
 }
 
 func (d *Device) reserve(b int, now, dur uint64, op string) uint64 {
 	start := now
-	if d.banks[b].freeAt > start {
-		start = d.banks[b].freeAt
+	if d.freeAt[b] > start {
+		start = d.freeAt[b]
 	}
 	done := start + dur
-	d.banks[b].freeAt = done
-	d.banks[b].stats.BusyCycles += dur
+	d.freeAt[b] = done
+	d.stats[b].BusyCycles += dur
 	if d.rec != nil {
 		d.rec.BankBusy(b, start, done, op)
 	}
@@ -122,20 +135,16 @@ func (d *Device) reserve(b int, now, dur uint64, op string) uint64 {
 
 // Stats returns a copy of the per-bank statistics.
 func (d *Device) Stats() []BankStats {
-	out := make([]BankStats, len(d.banks))
-	for i := range d.banks {
-		out[i] = d.banks[i].stats
-	}
-	return out
+	return slices.Clone(d.stats)
 }
 
 // TotalStats sums the per-bank statistics.
 func (d *Device) TotalStats() BankStats {
 	var t BankStats
-	for i := range d.banks {
-		t.Reads += d.banks[i].stats.Reads
-		t.Writes += d.banks[i].stats.Writes
-		t.BusyCycles += d.banks[i].stats.BusyCycles
+	for _, st := range d.stats {
+		t.Reads += st.Reads
+		t.Writes += st.Writes
+		t.BusyCycles += st.BusyCycles
 	}
 	return t
 }
@@ -143,5 +152,5 @@ func (d *Device) TotalStats() BankStats {
 // String summarises bank occupancy, for debug output.
 func (d *Device) String() string {
 	t := d.TotalStats()
-	return fmt.Sprintf("nvm{banks=%d reads=%d writes=%d busy=%d}", len(d.banks), t.Reads, t.Writes, t.BusyCycles)
+	return fmt.Sprintf("nvm{banks=%d reads=%d writes=%d busy=%d}", len(d.freeAt), t.Reads, t.Writes, t.BusyCycles)
 }

@@ -213,15 +213,16 @@ func TestDeviceStats(t *testing.T) {
 
 func TestBankFree(t *testing.T) {
 	d := NewDevice(testConfig())
-	if !d.BankFree(0, 0) {
-		t.Fatal("fresh bank not free")
+	all := uint64(1)<<d.Banks() - 1
+	if got := d.IdleMask(0); got != all {
+		t.Fatalf("fresh device IdleMask = %b, want %b", got, all)
 	}
 	done := d.WriteLine(0, 0)
-	if d.BankFree(0, done-1) {
-		t.Fatal("bank free before completion")
+	if got := d.IdleMask(done - 1); got != all&^1 {
+		t.Fatalf("IdleMask before completion = %b, want %b (bank 0 busy)", got, all&^1)
 	}
-	if !d.BankFree(0, done) {
-		t.Fatal("bank not free at completion")
+	if got := d.IdleMask(done); got != all {
+		t.Fatalf("IdleMask at completion = %b, want %b", got, all)
 	}
 	if d.BankFreeAt(0) != done {
 		t.Fatalf("BankFreeAt = %d, want %d", d.BankFreeAt(0), done)

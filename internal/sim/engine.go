@@ -5,10 +5,18 @@
 // reproducible.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Event is a callback scheduled to fire at a simulated time.
 type Event func(now uint64)
+
+// Fire implements EventObj, so closures and objects share one heap
+// item layout. A func value is pointer-shaped: storing it in the
+// interface does not allocate.
+func (f Event) Fire(now uint64) { f(now) }
 
 // EventObj is the allocation-free alternative to Event: a pre-allocated
 // object whose Fire method is the callback. Scheduling a closure
@@ -20,24 +28,31 @@ type EventObj interface {
 	Fire(now uint64)
 }
 
+// item is one scheduled event: 32 bytes, two to a cache line.
 type item struct {
 	at  uint64
 	seq uint64
-	fn  Event
 	obj EventObj
 }
 
-func (a item) less(b item) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+func (a item) less(b item) bool { return lessBit(a, b) != 0 }
+
+// lessBit is 1 when a fires before b and 0 otherwise: the borrow of the
+// 128-bit subtraction (a.at, a.seq) - (b.at, b.seq). It has no branch
+// to mispredict — event times arrive in no predictable order, so the
+// sifts' comparisons would otherwise mispredict about half the time.
+func lessBit(a, b item) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(a.at, b.at, borrow)
+	return borrow
 }
 
 // eventHeap is a typed binary min-heap ordered by (at, seq). Scheduling
 // an event is the simulator's hottest path, so the heap works on items
 // directly rather than through heap.Interface, which would box every
 // pushed item into an interface{} (one allocation per scheduled event).
+// Both sifts move a hole instead of swapping pairs: each level costs one
+// item copy, and the moving item is written once, at its final slot.
 type eventHeap []item
 
 func (h *eventHeap) push(it item) {
@@ -46,38 +61,52 @@ func (h *eventHeap) push(it item) {
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s[i].less(s[parent]) {
+		if !it.less(s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = it
 }
 
+// pop removes the earliest item. It sifts bottom-up (Floyd): the hole
+// left at the root walks down to a leaf along the earlier child, with
+// no data-dependent exit, and the former last item, which belongs near
+// the bottom, then sifts up the few levels it needs. Keys are unique,
+// so the pop sequence is the (at, seq) order whatever the sift.
 func (h *eventHeap) pop() item {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
+	last := s[n]
 	s[n] = item{} // release the callback for GC
 	s = s[:n]
 	*h = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		left := 2*i + 1
-		if left >= n {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		least := left
-		if right := left + 1; right < n && s[right].less(s[left]) {
-			least = right
+		if right := child + 1; right < n {
+			child += int(lessBit(s[right], s[child]))
 		}
-		if !s[least].less(s[i]) {
-			break
-		}
-		s[i], s[least] = s[least], s[i]
-		i = least
+		s[i] = s[child]
+		i = child
 	}
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !last.less(s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = last
 	return top
 }
 
@@ -92,12 +121,18 @@ type Engine struct {
 	inBatch   bool        // inside a RunParallel batch
 	lookahead uint64      // RunParallel horizon bound; 0 = next global event
 	observer  func(now uint64)
+	fired     uint64
 }
 
 // SetObserver installs a hook invoked after each fired event with the
 // event's time (nil disables). The observability layer uses it to count
 // events per window and to track the end of simulated time.
 func (e *Engine) SetObserver(fn func(now uint64)) { e.observer = fn }
+
+// Fired returns the number of events fired so far — a deterministic
+// work counter: a change that leaves every simulated cycle unchanged
+// but schedules more or fewer events shows here.
+func (e *Engine) Fired() uint64 { return e.fired }
 
 // Now returns the current simulated time in cycles.
 func (e *Engine) Now() uint64 { return e.now }
@@ -109,7 +144,7 @@ func (e *Engine) At(at uint64, fn Event) {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", at, e.now))
 	}
 	e.seq++
-	e.heap.push(item{at: at, seq: e.seq, fn: fn})
+	e.heap.push(item{at: at, seq: e.seq, obj: fn})
 }
 
 // After schedules fn to run delay cycles from now.
@@ -152,11 +187,8 @@ func (e *Engine) Step() bool {
 	}
 	it := e.heap.pop()
 	e.now = it.at
-	if it.obj != nil {
-		it.obj.Fire(e.now)
-	} else {
-		it.fn(e.now)
-	}
+	e.fired++
+	it.obj.Fire(e.now)
 	if e.observer != nil {
 		e.observer(it.at)
 	}

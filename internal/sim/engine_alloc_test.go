@@ -44,6 +44,28 @@ func TestEventObjZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestEventAdapterZeroAllocs: a closure scheduled through At rides in
+// the same heap item as an EventObj (Event implements it), and the
+// conversion must not allocate — a func value is pointer-shaped.
+func TestEventAdapterZeroAllocs(t *testing.T) {
+	var e Engine
+	fired := 0
+	var fn Event = func(uint64) { fired++ }
+	e.At(0, fn)
+	e.Run()
+	allocs := testing.AllocsPerRun(500, func() {
+		e.At(e.Now()+1, fn)
+		e.After(2, fn)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("scheduling a closure allocates %v objects per run, want 0", allocs)
+	}
+	if fired != 1+2*501 {
+		t.Fatalf("closure fired %d times, want %d", fired, 1+2*501)
+	}
+}
+
 // TestAtObjOrdering verifies EventObj and closure events interleave in
 // strict (at, seq) order.
 func TestAtObjOrdering(t *testing.T) {

@@ -34,9 +34,10 @@ func BenchmarkEngine(b *testing.B) {
 }
 
 // boxedHeap is the pre-optimization event queue (container/heap over
-// interface{}), kept as a benchmark baseline: BenchmarkEngine vs
-// BenchmarkBoxedHeapBaseline shows the allocation removed per scheduled
-// event by the typed heap.
+// interface{}) on the current item layout, kept as a benchmark
+// baseline: BenchmarkEngine vs BenchmarkBoxedHeapBaseline shows the
+// allocation removed per scheduled event by the typed heap, and the
+// test below uses it as the reference pop order.
 type boxedHeap []item
 
 func (h boxedHeap) Len() int            { return len(h) }
@@ -66,19 +67,19 @@ func BenchmarkBoxedHeapBaseline(b *testing.B) {
 		fired++
 		if fired < b.N {
 			seq++
-			heap.Push(&h, item{at: now + delay(), seq: seq, fn: chain})
+			heap.Push(&h, item{at: now + delay(), seq: seq, obj: chain})
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < benchWindow && i < b.N; i++ {
 		seq++
-		heap.Push(&h, item{at: delay(), seq: seq, fn: chain})
+		heap.Push(&h, item{at: delay(), seq: seq, obj: chain})
 	}
 	for h.Len() > 0 {
 		it := heap.Pop(&h).(item)
 		now = it.at
-		it.fn(now)
+		it.obj.Fire(now)
 	}
 }
 

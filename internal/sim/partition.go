@@ -68,7 +68,7 @@ func (e *Engine) partIndex(p int) int {
 // is equivalent to At; under RunParallel the event runs on p's worker
 // and must touch only p-local state.
 func (e *Engine) AtPart(p int, at uint64, fn Event) {
-	e.pushPart(e.partIndex(p), at, item{fn: fn})
+	e.pushPart(e.partIndex(p), at, item{obj: fn})
 }
 
 // AtObjPart is AtPart for a pre-allocated EventObj.
@@ -127,11 +127,8 @@ func (e *Engine) stepMerged() bool {
 		it = e.parts[src].heap.pop()
 	}
 	e.now = it.at
-	if it.obj != nil {
-		it.obj.Fire(e.now)
-	} else {
-		it.fn(e.now)
-	}
+	e.fired++
+	it.obj.Fire(e.now)
 	if e.observer != nil {
 		e.observer(it.at)
 	}
@@ -176,11 +173,8 @@ func (e *Engine) RunParallel(workers int) {
 			// barrier and may schedule anywhere).
 			it := e.heap.pop()
 			e.now = it.at
-			if it.obj != nil {
-				it.obj.Fire(e.now)
-			} else {
-				it.fn(e.now)
-			}
+			e.fired++
+			it.obj.Fire(e.now)
 			continue
 		}
 		if len(e.heap) > 0 && e.heap[0].at == e.parts[src].heap[0].at {
@@ -219,6 +213,7 @@ func (e *Engine) parallelBatch(workers int) {
 	e.inBatch = true
 	var wg sync.WaitGroup
 	ends := make([]uint64, len(e.parts))
+	fired := make([]uint64, len(e.parts))
 	sem := make(chan struct{}, workers)
 	for i := range e.parts {
 		if h := e.parts[i].heap; len(h) == 0 || h[0].at >= horizon {
@@ -234,11 +229,8 @@ func (e *Engine) parallelBatch(workers int) {
 			for len(pt.heap) > 0 && pt.heap[0].at < horizon {
 				it := pt.heap.pop()
 				last = it.at
-				if it.obj != nil {
-					it.obj.Fire(it.at)
-				} else {
-					it.fn(it.at)
-				}
+				it.obj.Fire(it.at)
+				fired[idx]++
 			}
 			ends[idx] = last
 		}(i)
@@ -252,5 +244,6 @@ func (e *Engine) parallelBatch(workers int) {
 		if e.parts[i].seq > e.seq {
 			e.seq = e.parts[i].seq
 		}
+		e.fired += fired[i]
 	}
 }

@@ -176,6 +176,11 @@ func TestRunParallelGlobalBarrier(t *testing.T) {
 	if want := uint64(banks * 21); total != want {
 		t.Fatalf("total ticks = %d, want %d", total, want)
 	}
+	// Fired counts events of the parallel batches and the serial
+	// global event alike.
+	if got := e.Fired(); got != total+1 {
+		t.Fatalf("Fired() = %d, want %d", got, total+1)
+	}
 }
 
 // TestRunParallelTieWithGlobal pins the tie rule: when a partition
