@@ -204,15 +204,17 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(txs)/b.Elapsed().Seconds(), "simulated-tx/s")
 }
 
-// BenchmarkCrashSweep measures the crash fuzzer's point throughput.
-func BenchmarkCrashSweep(b *testing.B) {
+// BenchmarkCrashFuzz measures the crash fuzzer's point throughput.
+func BenchmarkCrashFuzz(b *testing.B) {
+	p := supermem.CrashFuzzParams{Workload: "queue", Steps: 4, Parallel: 1,
+		Modes: []supermem.CrashMode{supermem.CrashSuperMem}}
 	for i := 0; i < b.N; i++ {
-		res, err := supermem.CrashSweep(supermem.CrashSuperMem, "queue", 4, 4)
+		res, err := supermem.CrashFuzz(p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Consistent() {
-			b.Fatal("sweep inconsistent")
+		if !res.Verdicts[0].Consistent() {
+			b.Fatal("fuzz inconsistent")
 		}
 	}
 }

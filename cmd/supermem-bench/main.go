@@ -106,7 +106,6 @@ func main() {
 		eventsMax    = flag.Int("events-max", 1<<20, "trace event buffer cap per traced cell")
 		hist         = flag.Bool("hist", false, "collect per-cell latency histograms (printed, and embedded in -json artifacts)")
 		obsWindow    = flag.Uint64("obs-window", 0, "observability series window in cycles (0 = default 4096)")
-		parallelEng  = flag.Bool("parallel-engine", false, "use the bank-partitioned event engine (config.ParallelEngine; output is byte-identical)")
 		perfAppend   = flag.String("perf-append", "", "append this run's headline wall times to the given perf-trajectory JSON file (e.g. BENCH_perf.json)")
 		perfLabel    = flag.String("perf-label", "", "free-form label recorded with -perf-append (e.g. a commit subject)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof)")
@@ -169,7 +168,6 @@ func main() {
 	}
 	opts.Parallel = *parallel
 	cfg := supermem.DefaultConfig()
-	cfg.ParallelEngine = *parallelEng
 	// The core-model knobs flow to every experiment through the shared
 	// config template (the mlp experiment sweeps its own model axis on
 	// top of it). Validate here so a bad -core spelling or an orphan
@@ -428,13 +426,12 @@ func main() {
 	}
 	if *perfAppend != "" {
 		appendPerf(*perfAppend, perfRun{
-			Date:           time.Now().UTC().Format("2006-01-02T15:04:05Z"),
-			Label:          *perfLabel,
-			GoVersion:      runtime.Version(),
-			Parallel:       *parallel,
-			ParallelEngine: *parallelEng,
-			Transactions:   opts.Transactions,
-			Experiments:    walls,
+			Date:         time.Now().UTC().Format("2006-01-02T15:04:05Z"),
+			Label:        *perfLabel,
+			GoVersion:    runtime.Version(),
+			Parallel:     *parallel,
+			Transactions: opts.Transactions,
+			Experiments:  walls,
 		})
 	}
 	if err := stopProfiles(); err != nil {
@@ -457,13 +454,12 @@ type perfExperiment struct {
 // through the standard runner (the osiris and faultsweep extensions
 // report their own timing and are not recorded).
 type perfRun struct {
-	Date           string           `json:"date"`
-	Label          string           `json:"label,omitempty"`
-	GoVersion      string           `json:"go_version"`
-	Parallel       int              `json:"parallel"`
-	ParallelEngine bool             `json:"parallel_engine"`
-	Transactions   int              `json:"transactions"`
-	Experiments    []perfExperiment `json:"experiments"`
+	Date         string           `json:"date"`
+	Label        string           `json:"label,omitempty"`
+	GoVersion    string           `json:"go_version"`
+	Parallel     int              `json:"parallel"`
+	Transactions int              `json:"transactions"`
+	Experiments  []perfExperiment `json:"experiments"`
 }
 
 // perfFile is the BENCH_perf.json trajectory: an append-only log of
@@ -753,7 +749,7 @@ func intList(flagName, s string, min int) ([]int, error) {
 // mlpArtifact is the machine-readable MLP-experiment record. Like the
 // kv artifact it carries no wall-time or parallelism fields, so the
 // same options produce a byte-identical BENCH_mlp.json at any
-// -parallel setting and under -parallel-engine.
+// -parallel setting.
 type mlpArtifact struct {
 	Experiment string              `json:"experiment"`
 	Result     *supermem.MLPResult `json:"result"`

@@ -34,17 +34,20 @@ func ExampleSimulate() {
 	// WT writes about 2x the NVM lines of an un-encrypted system
 }
 
-// ExampleCrashSweep crash-tests every persistence step of a workload on
+// ExampleCrashFuzz crash-tests every persistence step of a workload on
 // the byte-accurate SuperMem machine: the recovered structure always
 // matches a transaction boundary.
-func ExampleCrashSweep() {
-	res, err := supermem.CrashSweep(supermem.CrashSuperMem, "array", 4, 3)
+func ExampleCrashFuzz() {
+	res, err := supermem.CrashFuzz(supermem.CrashFuzzParams{
+		Workload: "array", Steps: 4, Modes: []supermem.CrashMode{supermem.CrashSuperMem},
+	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("all crash points consistent:", res.Consistent())
+	v := res.Verdicts[0]
+	fmt.Printf("%d of %d crash points tested, all consistent: %t\n", v.Tested, v.TotalPoints, v.Consistent())
 	// Output:
-	// all crash points consistent: true
+	// 44 of 44 crash points tested, all consistent: true
 }
 
 // ExampleTable1 reproduces the paper's Table 1 verdicts for the two

@@ -3,7 +3,6 @@ package bench
 import (
 	"crypto/sha256"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -35,8 +34,7 @@ type digestCell struct {
 // extremes, CWC on and off, XBank, Osiris, the integrity trees, 4 and 8
 // in-order programs, the 4-core OoO model with MSHRs and prefetch,
 // per-core write queues and the counter-cache partition, read faults
-// with retry and quarantine, wear rotation, the overflow throttle, and
-// the bank-partitioned engine.
+// with retry and quarantine, wear rotation and the overflow throttle.
 func digestCells() []digestCell {
 	base := config.Default()
 	inorder := func(wl string, s config.Scheme, cfg config.Config) Spec {
@@ -125,18 +123,6 @@ func digestCells() []digestCell {
 	cells = append(cells, digestCell{name: "attack/throttle", spec: Spec{Base: throttle, Workload: "ctrhammer",
 		Scheme: config.SuperMem, TxBytes: 256, Transactions: 64, Warmup: 4, Cores: 1, FootprintBytes: 1 << 20,
 		Seed: 1, Attack: workload.AttackConfig{HotPages: 68}}})
-
-	// The partitioned engine must reproduce its twin exactly; the
-	// digest pins both.
-	n := len(cells)
-	for _, c := range cells[:n] {
-		switch c.name {
-		case "detailed/btree/SuperMem", "kv/Phoenix", "kv-uncore/SuperMem", "faults/quarantine", "attack/wear":
-			c.name = "partitioned/" + c.name
-			c.spec.Base.ParallelEngine = true
-			cells = append(cells, c)
-		}
-	}
 	return cells
 }
 
@@ -194,64 +180,58 @@ func runDigestCell(t *testing.T, c digestCell, recs map[string][]trace.Source) d
 // that moves results on purpose regenerates it from the test's failure
 // output and says why.
 var timingDigests = map[string]string{
-	"ff/btree/Unsec":                      "eefa460551fbd3d2",
-	"ff/btree/WB":                         "6825faad516f47b9",
-	"ff/btree/WT":                         "3ca54aceeadbde77",
-	"ff/btree/WT+CWC":                     "aa3c800abf85e0b3",
-	"ff/btree/WT+XBank":                   "d5ca41a95243262a",
-	"ff/btree/SuperMem":                   "034cedfd363e5b43",
-	"ff/rbtree/Unsec":                     "c1780a7153db61ac",
-	"ff/rbtree/WB":                        "f0e876082a21b7f3",
-	"ff/rbtree/WT":                        "2103347f5649825c",
-	"ff/rbtree/WT+CWC":                    "31fc3fcf6f55a7d1",
-	"ff/rbtree/WT+XBank":                  "28740dfe76199728",
-	"ff/rbtree/SuperMem":                  "8c80d24dea18b898",
-	"detailed/btree/Unsec":                "5db972858fcb7c6f",
-	"detailed/btree/WT":                   "633160da001c341f",
-	"detailed/btree/WT+CWC":               "739017dd85cc4657",
-	"detailed/btree/WT+XBank":             "3abba496996bb3dd",
-	"detailed/btree/SuperMem":             "b860a30f2b9d6418",
-	"detailed/hashtable/Unsec":            "e14dddddfa3fc581",
-	"detailed/hashtable/WT":               "b07172bd796554f5",
-	"detailed/hashtable/WT+CWC":           "e54cfc2ba21924ff",
-	"detailed/hashtable/WT+XBank":         "06200ca5e4c5d412",
-	"detailed/hashtable/SuperMem":         "2ad6385a0d92fb3c",
-	"detailed/rbtree/Unsec":               "2864c8a2e26addf8",
-	"detailed/rbtree/WT":                  "dd2b616518ff4c5f",
-	"detailed/rbtree/WT+CWC":              "9253104c8c4b1e29",
-	"detailed/rbtree/WT+XBank":            "73abcd555992e8f7",
-	"detailed/rbtree/SuperMem":            "dd3f6acdb50d2f3b",
-	"fig16/wq8/WT":                        "802254a64e3567d2",
-	"fig16/wq8/SuperMem":                  "5f6e5227d34248d3",
-	"fig16/wq128/WT":                      "874fe2d20d30b8d0",
-	"fig16/wq128/SuperMem":                "cfdac08ba13708e5",
-	"ext/btree/SCA":                       "633160da001c341f",
-	"ext/btree/Osiris":                    "c3d7e6e7cdd3cf36",
-	"ext/btree/BMT":                       "d219f460c5a9053c",
-	"ext/btree/Triad-NVM":                 "edeb4686618ccce6",
-	"ext/btree/Phoenix":                   "a8b26a761fc038aa",
-	"fig14/4p/SuperMem":                   "89969c2fff8d5e07",
-	"fig14/8p/btree/SuperMem":             "ef73cc55d4f21649",
-	"fig14/8p/hashtable/WT+CWC":           "8de03de3e7acb783",
-	"kv/Unsec":                            "88a7e731fec29d09",
-	"kv/WT":                               "6dcc78cc82c5ca5d",
-	"kv/SuperMem":                         "352b0819b508adf3",
-	"kv/Phoenix":                          "1a950a46a9748763",
-	"kv-uncore/SuperMem":                  "b699f9738c77b84e",
-	"faults/quarantine":                   "c04ed0faa30da08c",
-	"faults/retry":                        "99ad700a45b29ba8",
-	"attack/wear":                         "2164928fe8029ea8",
-	"attack/throttle":                     "66824b26c08a278a",
-	"partitioned/detailed/btree/SuperMem": "b860a30f2b9d6418",
-	"partitioned/kv/Phoenix":              "1a950a46a9748763",
-	"partitioned/kv-uncore/SuperMem":      "b699f9738c77b84e",
-	"partitioned/faults/quarantine":       "c04ed0faa30da08c",
-	"partitioned/attack/wear":             "2164928fe8029ea8",
+	"ff/btree/Unsec":              "eefa460551fbd3d2",
+	"ff/btree/WB":                 "6825faad516f47b9",
+	"ff/btree/WT":                 "3ca54aceeadbde77",
+	"ff/btree/WT+CWC":             "aa3c800abf85e0b3",
+	"ff/btree/WT+XBank":           "d5ca41a95243262a",
+	"ff/btree/SuperMem":           "034cedfd363e5b43",
+	"ff/rbtree/Unsec":             "c1780a7153db61ac",
+	"ff/rbtree/WB":                "f0e876082a21b7f3",
+	"ff/rbtree/WT":                "2103347f5649825c",
+	"ff/rbtree/WT+CWC":            "31fc3fcf6f55a7d1",
+	"ff/rbtree/WT+XBank":          "28740dfe76199728",
+	"ff/rbtree/SuperMem":          "8c80d24dea18b898",
+	"detailed/btree/Unsec":        "5db972858fcb7c6f",
+	"detailed/btree/WT":           "633160da001c341f",
+	"detailed/btree/WT+CWC":       "739017dd85cc4657",
+	"detailed/btree/WT+XBank":     "3abba496996bb3dd",
+	"detailed/btree/SuperMem":     "b860a30f2b9d6418",
+	"detailed/hashtable/Unsec":    "e14dddddfa3fc581",
+	"detailed/hashtable/WT":       "b07172bd796554f5",
+	"detailed/hashtable/WT+CWC":   "e54cfc2ba21924ff",
+	"detailed/hashtable/WT+XBank": "06200ca5e4c5d412",
+	"detailed/hashtable/SuperMem": "2ad6385a0d92fb3c",
+	"detailed/rbtree/Unsec":       "2864c8a2e26addf8",
+	"detailed/rbtree/WT":          "dd2b616518ff4c5f",
+	"detailed/rbtree/WT+CWC":      "9253104c8c4b1e29",
+	"detailed/rbtree/WT+XBank":    "73abcd555992e8f7",
+	"detailed/rbtree/SuperMem":    "dd3f6acdb50d2f3b",
+	"fig16/wq8/WT":                "802254a64e3567d2",
+	"fig16/wq8/SuperMem":          "5f6e5227d34248d3",
+	"fig16/wq128/WT":              "874fe2d20d30b8d0",
+	"fig16/wq128/SuperMem":        "cfdac08ba13708e5",
+	"ext/btree/SCA":               "633160da001c341f",
+	"ext/btree/Osiris":            "c3d7e6e7cdd3cf36",
+	"ext/btree/BMT":               "d219f460c5a9053c",
+	"ext/btree/Triad-NVM":         "edeb4686618ccce6",
+	"ext/btree/Phoenix":           "a8b26a761fc038aa",
+	"fig14/4p/SuperMem":           "89969c2fff8d5e07",
+	"fig14/8p/btree/SuperMem":     "ef73cc55d4f21649",
+	"fig14/8p/hashtable/WT+CWC":   "8de03de3e7acb783",
+	"kv/Unsec":                    "88a7e731fec29d09",
+	"kv/WT":                       "6dcc78cc82c5ca5d",
+	"kv/SuperMem":                 "352b0819b508adf3",
+	"kv/Phoenix":                  "1a950a46a9748763",
+	"kv-uncore/SuperMem":          "b699f9738c77b84e",
+	"faults/quarantine":           "c04ed0faa30da08c",
+	"faults/retry":                "99ad700a45b29ba8",
+	"attack/wear":                 "2164928fe8029ea8",
+	"attack/throttle":             "66824b26c08a278a",
 }
 
 // TestTimingDigest is the exactness guard of the timing DES: every
-// digest cell must reproduce its pinned digest, and each partitioned-
-// engine cell must equal its global-heap twin.
+// digest cell must reproduce its pinned digest.
 func TestTimingDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a reduced grid of full timing simulations")
@@ -271,9 +251,6 @@ func TestTimingDigest(t *testing.T) {
 		}
 		if r.events == 0 {
 			t.Errorf("%s: no events fired", c.name)
-		}
-		if twin, ok := strings.CutPrefix(c.name, "partitioned/"); ok && !reflect.DeepEqual(r, results[twin]) {
-			t.Errorf("%s: partitioned engine differs from the global heap\npartitioned: %+v\nglobal:      %+v", c.name, r, results[twin])
 		}
 		got := r.digest()
 		fmt.Fprintf(&table, "\t%q: %q,\n", c.name, got)

@@ -120,8 +120,7 @@ type MLPCell struct {
 
 // MLPResult is the MLP experiment's artifact payload. It carries no
 // wall-time or parallelism fields: the same options produce a
-// byte-identical BENCH_mlp.json at any -parallel setting and under the
-// partitioned engine.
+// byte-identical BENCH_mlp.json at any -parallel setting.
 type MLPResult struct {
 	Workload     string    `json:"workload"`
 	TxBytes      int       `json:"tx_bytes"`

@@ -22,8 +22,7 @@ func smallMLPOpts() (Opts, MLPOpts) {
 }
 
 // TestMLPDeterministic: the MLP artifact must be byte-identical at any
-// worker parallelism and under the bank-partitioned engine — the OoO
-// model's MSHR file and prefetcher are arithmetic over simulated
+// worker parallelism — the OoO model's MSHR file and prefetcher are arithmetic over simulated
 // cycles, not host scheduling.
 func TestMLPDeterministic(t *testing.T) {
 	cfg := config.Default()
@@ -39,20 +38,10 @@ func TestMLPDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part := cfg
-	part.ParallelEngine = true
-	partitioned, err := MLP(part, o, mo)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sj, _ := json.Marshal(serial)
 	pj, _ := json.Marshal(parallel)
-	ej, _ := json.Marshal(partitioned)
 	if string(sj) != string(pj) {
 		t.Fatalf("serial and parallel MLP artifacts differ:\n%s\n%s", sj, pj)
-	}
-	if string(sj) != string(ej) {
-		t.Fatalf("global-heap and partitioned-engine MLP artifacts differ:\n%s\n%s", sj, ej)
 	}
 
 	// Grid shape: (inorder + 2 widths + 1 MSHR + 1 prefetch) x (Unsec + 2

@@ -13,14 +13,10 @@ import (
 // and returns the rendered table, the histogram block JSON, and the
 // serialized trace.
 func runObserved(t *testing.T, parallel int) (table, hists, trace []byte) {
-	return runObservedBase(t, tinyBase(), parallel)
-}
-
-func runObservedBase(t *testing.T, base config.Config, parallel int) (table, hists, trace []byte) {
 	t.Helper()
 	o := Opts{Transactions: 15, Warmup: 15, FootprintBytes: 128 << 10, Seed: 1, Parallel: parallel}
 	o.Obs = &ObsCollector{Window: 1024, Hist: true, TraceLabel: "btree/SuperMem"}
-	tab, err := Fig13(base, 1024, o)
+	tab, err := Fig13(tinyBase(), 1024, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,34 +63,6 @@ func TestObsParallelMatchesSerial(t *testing.T) {
 	}
 	if sum.Spans == 0 || sum.Counters == 0 {
 		t.Errorf("trace summary %+v missing spans or counters", sum)
-	}
-}
-
-// TestPartitionedEngineMatchesSerial extends the determinism contract
-// to the bank-partitioned event engine (config.ParallelEngine): with
-// the write queue's retire/retry events stored in per-bank sub-heaps,
-// metrics tables, histogram summaries, and trace bytes must be
-// byte-identical to the global-heap engine — seq stays global, so the
-// merged stepping fires the exact same event sequence.
-func TestPartitionedEngineMatchesSerial(t *testing.T) {
-	sTab, sHist, sTrace := runObservedBase(t, tinyBase(), 1)
-	part := tinyBase()
-	part.ParallelEngine = true
-	pTab, pHist, pTrace := runObservedBase(t, part, 1)
-	if !bytes.Equal(sTab, pTab) {
-		t.Errorf("tables differ:\n%s\nvs\n%s", sTab, pTab)
-	}
-	if !bytes.Equal(sHist, pHist) {
-		t.Error("histogram blocks differ")
-	}
-	if !bytes.Equal(sTrace, pTrace) {
-		t.Errorf("traces differ (%d vs %d bytes)", len(sTrace), len(pTrace))
-	}
-	// And the partitioned engine must stay deterministic under the
-	// parallel cell runner too.
-	qTab, qHist, qTrace := runObservedBase(t, part, 8)
-	if !bytes.Equal(sTab, qTab) || !bytes.Equal(sHist, qHist) || !bytes.Equal(sTrace, qTrace) {
-		t.Error("partitioned engine diverges under the parallel cell runner")
 	}
 }
 

@@ -249,17 +249,6 @@ type Config struct {
 	// unbounded (complete every recovery in one pass).
 	RecoveryWorkBound int
 
-	// ParallelEngine enables the bank-partitioned event engine: the
-	// write queue stores each bank's retire and retry events in a
-	// per-bank sub-heap (sim.Engine partitions) instead of one global
-	// heap. The integrated system still fires events in exact global
-	// (at, seq) order — event sequence numbers are assigned globally at
-	// scheduling time — so simulation results are byte-identical with
-	// the knob on or off; the sub-heaps shrink per-event heap work and
-	// are the storage layout sim.Engine.RunParallel requires for
-	// partition-independent workloads.
-	ParallelEngine bool
-
 	// CoreModel selects the per-core timing model ("" means
 	// CoreInOrder). internal/core resolves the name through its model
 	// registry, so experiments sweep the model as a grid axis the same

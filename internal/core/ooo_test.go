@@ -245,19 +245,6 @@ func TestPrefetchDroppedOnFullWriteQueue(t *testing.T) {
 	}
 }
 
-// TestOoOParallelEngineIdentical: the OoO model (MSHRs + prefetch) is
-// bank-partition safe — the partitioned engine produces the same
-// metrics as the global heap.
-func TestOoOParallelEngineIdentical(t *testing.T) {
-	trc := randTrace(11, 40, false)
-	serial := run(t, oooConfig(config.SuperMem, 4, 8, 2), trc)
-	part := oooConfig(config.SuperMem, 4, 8, 2)
-	part.ParallelEngine = true
-	if parallel := run(t, part, trc); serial != parallel {
-		t.Fatalf("partitioned engine diverged for OoO model:\n serial   %+v\n parallel %+v", serial, parallel)
-	}
-}
-
 // TestOoOSteadyStateZeroAllocs gates the OoO dispatch path on the
 // zero-alloc line. A System runs once, so the setup cost (caches, MSHR
 // file, slots) is isolated by differencing two run lengths over the

@@ -172,18 +172,6 @@ func (s *System) build(cfg config.Config) error {
 		s.treeCoalesce = cfg.Scheme.TreeCoalesce()
 		s.treeBase = s.layout.TotalBytes
 	}
-	if cfg.ParallelEngine {
-		// Bank-partitioned engine: per-bank sub-heaps for the write
-		// queue's retire/retry events, with the minimum cross-bank
-		// latency as the parallel-stepping lookahead. Serial merged
-		// stepping keeps results byte-identical to the global heap.
-		s.eng.SetPartitions(cfg.Banks)
-		if cfg.ReadCycles < cfg.WriteCycles {
-			s.eng.SetLookahead(cfg.ReadCycles)
-		} else {
-			s.eng.SetLookahead(cfg.WriteCycles)
-		}
-	}
 	// One shared write queue by default; one per core (splitting the
 	// shared capacity) when the per-core knob is on. All controllers
 	// increment the same metrics block — the event loop is
@@ -199,9 +187,6 @@ func (s *System) build(cfg config.Config) error {
 		mc, err := memctrl.New(s.eng, s.dev, entries, cfg.CWC(), &s.m)
 		if err != nil {
 			return err
-		}
-		if cfg.ParallelEngine {
-			mc.SetPartitioned(true)
 		}
 		mc.SetResilience(cfg.ReadRetryLimit, cfg.ReadRetryBackoff, cfg.BankQuarantineThreshold)
 		mc.SetWearLeveling(cfg.WearRemapPeriod)

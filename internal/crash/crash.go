@@ -396,65 +396,6 @@ func (o *oracle) detail(r *machine.Machine, n int) (string, error) {
 	return "", nil
 }
 
-// SweepResult aggregates a crash-point sweep.
-type SweepResult struct {
-	Params       Params
-	TotalPoints  int
-	Crashed      int
-	Inconsistent []Result
-}
-
-// Consistent reports whether every crash point recovered consistently.
-func (s SweepResult) Consistent() bool { return len(s.Inconsistent) == 0 }
-
-// String summarises the sweep.
-func (s SweepResult) String() string {
-	return fmt.Sprintf("%s/%s: %d crash points, %d crashed, %d inconsistent",
-		s.Params.Mode, s.Params.Workload, s.TotalPoints, s.Crashed, len(s.Inconsistent))
-}
-
-// Sweep measures the run's total persistence steps, then crash-tests
-// every stride-th step, always including the final persist index even
-// when the stride does not divide the persist count (so last-window
-// crash points are never skipped). Stride 1 sweeps every persistence
-// step.
-func Sweep(p Params, stride int) (SweepResult, error) {
-	p = p.withDefaults()
-	if stride < 1 {
-		stride = 1
-	}
-	total, err := countPersists(p)
-	if err != nil {
-		return SweepResult{}, err
-	}
-	out := SweepResult{Params: p, TotalPoints: 0}
-	test := func(crashAt int) error {
-		res, err := Run(p, crashAt)
-		if err != nil {
-			return err
-		}
-		out.TotalPoints++
-		if res.Crashed {
-			out.Crashed++
-		}
-		if !res.Consistent {
-			out.Inconsistent = append(out.Inconsistent, res)
-		}
-		return nil
-	}
-	for crashAt := 0; crashAt < total; crashAt += stride {
-		if err := test(crashAt); err != nil {
-			return SweepResult{}, err
-		}
-	}
-	if total > 0 && (total-1)%stride != 0 {
-		if err := test(total - 1); err != nil {
-			return SweepResult{}, err
-		}
-	}
-	return out, nil
-}
-
 // countPersists runs the workload crash-free and returns the persist
 // steps consumed by its transactions (after setup).
 func countPersists(p Params) (int, error) {

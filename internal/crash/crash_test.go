@@ -23,53 +23,46 @@ func TestRunWithoutCrashVerifies(t *testing.T) {
 	}
 }
 
-// The headline crash-safety property: on a SuperMem machine, EVERY
-// persistence-step crash point leaves every workload recoverable to a
-// transaction boundary.
-func TestSuperMemSweepAllWorkloads(t *testing.T) {
+// Every persistence-step crash point, tested exhaustively: SuperMem
+// (WT with the ADR register) leaves every workload recoverable to a
+// transaction boundary, as do the battery-backed write-back cache and
+// Osiris (which recovers its relaxed counters by probing); a write-back
+// counter cache without battery corrupts some points (Table 1's No
+// rows), observed through real decryption failures.
+func TestExhaustiveCrashPoints(t *testing.T) {
+	type tc struct {
+		mode     machine.Mode
+		workload string
+		steps    int
+		wantOK   bool
+	}
+	var cases []tc
 	for _, wl := range workload.Names {
-		wl := wl
-		t.Run(wl, func(t *testing.T) {
-			p := Params{Mode: machine.WTRegister, Workload: wl, Steps: 6}
-			stride := 3 // sample every third point to keep the suite fast
-			res, err := Sweep(p, stride)
+		cases = append(cases, tc{machine.WTRegister, wl, 6, true})
+	}
+	cases = append(cases,
+		tc{machine.WBNoBattery, "array", 6, false},
+		tc{machine.WBBattery, "array", 5, true},
+		tc{machine.Osiris, "queue", 5, true},
+	)
+	for _, c := range cases {
+		t.Run(c.mode.String()+"/"+c.workload, func(t *testing.T) {
+			res, err := Fuzz(FuzzParams{Workload: c.workload, Steps: c.steps, Parallel: 1, Modes: []machine.Mode{c.mode}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Crashed == 0 {
-				t.Fatal("sweep never crashed — no points exercised")
+			v := res.Verdicts[0]
+			if v.Tested != v.TotalPoints || v.Crashed == 0 {
+				t.Fatalf("tested %d of %d points, %d crashed — want every point exercised", v.Tested, v.TotalPoints, v.Crashed)
 			}
-			if !res.Consistent() {
-				r := res.Inconsistent[0]
-				t.Fatalf("crash@%d after %d txs: %s", r.CrashStep, r.CompletedSteps, r.Detail)
+			if v.Consistent() != c.wantOK {
+				if c.wantOK {
+					r := v.Inconsistent[0]
+					t.Fatalf("crash@%d after %d txs: %s", r.CrashStep, r.CompletedSteps, r.Detail)
+				}
+				t.Fatal("survived every crash point — the vulnerability is not modelled")
 			}
 		})
-	}
-}
-
-// The contrast: a write-back counter cache without battery corrupts
-// some crash points (Table 1's No rows), observed through real
-// decryption failures.
-func TestWBNoBatteryCorrupts(t *testing.T) {
-	p := Params{Mode: machine.WBNoBattery, Workload: "array", Steps: 6}
-	res, err := Sweep(p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Consistent() {
-		t.Fatal("write-back without battery survived every crash point — the vulnerability is not modelled")
-	}
-}
-
-func TestBatteryRestoresConsistency(t *testing.T) {
-	p := Params{Mode: machine.WBBattery, Workload: "array", Steps: 5}
-	res, err := Sweep(p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Consistent() {
-		r := res.Inconsistent[0]
-		t.Fatalf("battery-backed machine inconsistent at crash@%d: %s", r.CrashStep, r.Detail)
 	}
 }
 
@@ -89,17 +82,6 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
-func TestSweepString(t *testing.T) {
-	p := Params{Mode: machine.WTRegister, Workload: "queue", Steps: 3}
-	res, err := Sweep(p, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := res.String(); s == "" {
-		t.Fatal("empty sweep summary")
-	}
-}
-
 func TestCountPersistsPositive(t *testing.T) {
 	p := Params{Mode: machine.WTRegister, Workload: "queue", Steps: 3}.withDefaults()
 	n, err := countPersists(p)
@@ -111,61 +93,8 @@ func TestCountPersistsPositive(t *testing.T) {
 	}
 }
 
-// Regression: Sweep used to skip the last-window crash points whenever
-// the stride did not divide the persist count, so the final persist —
-// the commit-record flush, the most interesting point of all — was
-// never exercised. Any stride must now test both endpoints.
-func TestSweepAlwaysTestsFinalPersist(t *testing.T) {
-	p := Params{Mode: machine.WTRegister, Workload: "queue", Steps: 3}
-	total, err := countPersists(p.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total < 3 {
-		t.Fatalf("countPersists = %d, too few to make the stride interesting", total)
-	}
-	// A stride larger than the whole run: only the endpoints remain.
-	res, err := Sweep(p, total*10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalPoints != 2 {
-		t.Fatalf("stride > total tested %d points, want both endpoints {0, %d}", res.TotalPoints, total-1)
-	}
-	if res.Crashed != 2 {
-		t.Fatalf("endpoints tested but only %d crashed — final persist index %d out of range?", res.Crashed, total-1)
-	}
-	// A non-dividing stride: the regular cadence plus the final index.
-	stride := total - 1
-	res, err = Sweep(p, stride)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (total-1)/stride + 1 // points 0, stride, ...
-	if (total-1)%stride != 0 {
-		want++
-	}
-	if res.TotalPoints != want {
-		t.Fatalf("stride %d over %d persists tested %d points, want %d", stride, total, res.TotalPoints, want)
-	}
-}
-
 func TestBadWorkload(t *testing.T) {
 	if _, err := Run(Params{Mode: machine.WTRegister, Workload: "nope"}, 0); err == nil {
 		t.Fatal("Run accepted unknown workload")
-	}
-}
-
-// Osiris recovers its relaxed counters by probing, so structure-level
-// crash sweeps stay consistent despite unpersisted counters.
-func TestOsirisSweepConsistent(t *testing.T) {
-	p := Params{Mode: machine.Osiris, Workload: "queue", Steps: 5}
-	res, err := Sweep(p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Consistent() {
-		r := res.Inconsistent[0]
-		t.Fatalf("Osiris crash@%d after %d txs: %s", r.CrashStep, r.CompletedSteps, r.Detail)
 	}
 }

@@ -16,14 +16,13 @@ import (
 	"supermem/internal/scheme"
 )
 
-// The differential crash-consistency fuzzer. Where Sweep checks one
-// machine mode with a fixed stride, Fuzz explores a workload's crash
-// points exhaustively (small runs) or by stage-weighted random sampling
-// (large runs), optionally injects *nested* crashes at every
-// persistence micro-step of the recovery path (the RSR re-encryption
-// state machine and the redo-log reapply), runs every point across all
-// machine modes, and checks each mode's verdict against Table 1's
-// expected recoverability. Failing points are shrunk to the earliest
+// The differential crash-consistency fuzzer. Fuzz explores a
+// workload's crash points exhaustively (small runs) or by
+// stage-weighted random sampling (large runs), optionally injects
+// *nested* crashes at every persistence micro-step of the recovery path
+// (the RSR re-encryption state machine and the redo-log reapply), runs
+// every point across all machine modes, and checks each mode's verdict
+// against Table 1's expected recoverability. Failing points are shrunk to the earliest
 // failing persist index and reported with the divergent byte ranges and
 // counter lines.
 
@@ -74,8 +73,8 @@ type FuzzParams struct {
 	// included when sampled.
 	MaxNested int
 	// Parallel is the worker count (<= 0 means GOMAXPROCS). Results
-	// are identical at any setting.
-	Parallel int
+	// are identical at any setting, so it is not serialized.
+	Parallel int `json:"-"`
 	// Modes overrides the machine designs swept (default AllModes).
 	Modes []machine.Mode
 }

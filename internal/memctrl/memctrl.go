@@ -161,11 +161,6 @@ type Controller struct {
 	// steady-state enqueue/issue/retire cycle performs zero allocations.
 	entryPool arena.Pool[issued]
 	retryEvs  []retryEv
-	// partitioned routes retire and retry events to per-bank engine
-	// sub-heaps (engine partition = bank+1). Firing order is unchanged —
-	// the engine merges partitions in global (at, seq) order — so this
-	// is a storage-layout choice, gated by config.ParallelEngine.
-	partitioned bool
 
 	// Read-retry and bank-quarantine policy (Section "fault injection"
 	// of EXPERIMENTS.md). retryLimit is total read attempts per line;
@@ -255,17 +250,6 @@ func (c *Controller) SetWearLeveling(period uint64) { c.wearPeriod = period }
 
 // SetRecorder attaches an observability recorder (nil disables).
 func (c *Controller) SetRecorder(r *obs.Recorder) { c.rec = r }
-
-// SetPartitioned routes each bank's retire and retry events to engine
-// partition bank+1 instead of the global heap. The engine must be
-// configured with at least Banks partitions first (sim.SetPartitions);
-// results are byte-identical either way.
-func (c *Controller) SetPartitioned(on bool) {
-	if on && c.eng.Partitions() < c.dev.Banks() {
-		panic("memctrl: SetPartitioned needs one engine partition per bank")
-	}
-	c.partitioned = on
-}
 
 // Len returns the current write queue occupancy: un-issued entries plus
 // issued ones not yet retired.
@@ -569,11 +553,7 @@ func (c *Controller) issue(now uint64, i int) uint64 {
 			}
 		}
 	}
-	if c.partitioned {
-		c.eng.AtObjPart(q.bank+1, done, q)
-	} else {
-		c.eng.AtObj(done, q)
-	}
+	c.eng.AtObj(done, q)
 	return done
 }
 
@@ -592,11 +572,7 @@ func (c *Controller) scheduleRetry(bank int) {
 		return
 	}
 	c.retries[bank] = bankRetry{at: freeAt, armed: true}
-	if c.partitioned {
-		c.eng.AtObjPart(bank+1, freeAt, &c.retryEvs[bank])
-	} else {
-		c.eng.AtObj(freeAt, &c.retryEvs[bank])
-	}
+	c.eng.AtObj(freeAt, &c.retryEvs[bank])
 }
 
 // retire removes a completed entry from the queue, admits waiters that

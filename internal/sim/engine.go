@@ -114,14 +114,11 @@ func (h *eventHeap) pop() item {
 //
 // The zero value is ready to use.
 type Engine struct {
-	now       uint64
-	seq       uint64
-	heap      eventHeap
-	parts     []partition // optional bank sub-heaps (see partition.go)
-	inBatch   bool        // inside a RunParallel batch
-	lookahead uint64      // RunParallel horizon bound; 0 = next global event
-	observer  func(now uint64)
-	fired     uint64
+	now      uint64
+	seq      uint64
+	heap     eventHeap
+	observer func(now uint64)
+	fired    uint64
 }
 
 // SetObserver installs a hook invoked after each fired event with the
@@ -166,22 +163,11 @@ func (e *Engine) AtObj(at uint64, ev EventObj) {
 func (e *Engine) AfterObj(delay uint64, ev EventObj) { e.AtObj(e.now+delay, ev) }
 
 // Pending returns the number of scheduled events not yet fired.
-func (e *Engine) Pending() int {
-	n := len(e.heap)
-	for i := range e.parts {
-		n += len(e.parts[i].heap)
-	}
-	return n
-}
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Step fires the next event, advancing time to it. It reports whether an
-// event was fired. With partitions configured, the globally earliest
-// event across all sub-heaps fires — identical order to a single heap,
-// since seq is assigned globally at scheduling time.
+// event was fired.
 func (e *Engine) Step() bool {
-	if len(e.parts) > 0 {
-		return e.stepMerged()
-	}
 	if len(e.heap) == 0 {
 		return false
 	}
@@ -219,12 +205,8 @@ func (e *Engine) RunUntil(deadline uint64) {
 // NextEventAt returns the time of the earliest pending event. The boolean
 // is false when the queue is empty.
 func (e *Engine) NextEventAt() (uint64, bool) {
-	src, ok := e.minSource()
-	if !ok {
+	if len(e.heap) == 0 {
 		return 0, false
 	}
-	if src < 0 {
-		return e.heap[0].at, true
-	}
-	return e.parts[src].heap[0].at, true
+	return e.heap[0].at, true
 }

@@ -422,8 +422,7 @@ type (
 // sweeps at the widest width) crossed with schemes, with Unsec run per
 // variant as the write-amplification baseline. The whole grid replays
 // one cached recording — the core model is timing-only — and the
-// result is byte-identical at any Parallel setting and under the
-// partitioned engine.
+// result is byte-identical at any Parallel setting.
 func MLP(cfg Config, o ExperimentOpts, mo MLPOpts) (*MLPResult, error) {
 	return bench.MLP(cfg, o.internal(), mo)
 }
@@ -454,18 +453,6 @@ const (
 	// with memory size).
 	CrashOsiris = machine.Osiris
 )
-
-// CrashSweepResult aggregates a crash-point sweep.
-type CrashSweepResult = crash.SweepResult
-
-// CrashSweep runs the workload on the byte-accurate machine, injecting
-// a power failure at every stride-th persistence step, recovering, and
-// verifying the structure's invariants against a deterministic replay.
-// On a SuperMem machine every point is consistent; without a battery or
-// the register, some are not.
-func CrashSweep(mode CrashMode, workloadName string, steps, stride int) (CrashSweepResult, error) {
-	return crash.Sweep(crash.Params{Mode: mode, Workload: workloadName, Steps: steps}, stride)
-}
 
 // CrashModes lists every machine design the differential crash fuzzer
 // sweeps, in Table 1 order plus the baselines.
